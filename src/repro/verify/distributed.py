@@ -334,18 +334,8 @@ class WorkerRuntime:
 
     def _expand(self, task: ExpandTask):
         checker = self._checker_for(task.config)
-        if task.codec is not None:
-            # Wire v3: packed frontier chunk in, packed graph out.
-            return checker.expand_packed(task.packed, task.codec,
-                                         sequential=task.sequential)
-        edges: TransitionGraph = {}
-        truncated = False
-        for state in task.states:
-            succ, trunc = checker.successors(state,
-                                             sequential=task.sequential)
-            truncated = truncated or trunc
-            edges[state] = succ
-        return edges, truncated
+        return checker.expand_packed(task.packed, task.codec,
+                                     sequential=task.sequential)
 
     def _expand_partition(
         self, task: PartitionExpandTask,

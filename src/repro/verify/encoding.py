@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from repro.core.errors import VerificationError
 from repro.verify.enumeration import LoadState, StateScope
 
@@ -173,44 +175,39 @@ class StateCodec:
                      states: Iterable[Sequence[int]]) -> list[PackedState]:
         """Pack many states (list in, list out, order preserved).
 
-        Int-form codecs pack the whole batch in one vectorised numpy
-        matmul with the digit place values when numpy is importable;
-        results are identical to the scalar loop either way.
+        Int-form codecs pack the whole batch in one vectorised matmul
+        with the digit place values; results are identical to the
+        scalar loop.
         """
         values = states if isinstance(states, list) else list(states)
         if self.use_int and len(values) > 8:
-            try:
-                import numpy
-            except ImportError:
-                pass
-            else:
-                arr = numpy.asarray(values, dtype=numpy.int64)
-                weights = numpy.int64(1) << numpy.asarray(
-                    self._shifts, dtype=numpy.int64
-                )
-                return (arr @ weights).tolist()
+            return self.pack_array(np.asarray(values, dtype=np.int64)).tolist()
         return [self.encode(state) for state in values]
 
     def decode_batch(self,
                      packed: Iterable[PackedState]) -> list[LoadState]:
         """Unpack many states (list in, list out, order preserved).
 
-        Int-form codecs unpack the whole batch in one vectorised numpy
-        shift when numpy is importable; results are identical to the
-        scalar loop either way.
+        Int-form codecs unpack the whole batch in one vectorised shift;
+        results are identical to the scalar loop.
         """
         values = packed if isinstance(packed, list) else list(packed)
         if self.use_int and len(values) > 8:
-            try:
-                import numpy
-            except ImportError:
-                pass
-            else:
-                arr = numpy.asarray(values, dtype=numpy.int64)
-                shifts = numpy.asarray(self._shifts, dtype=numpy.int64)
-                digits = ((arr[:, None] >> shifts) & self._mask).tolist()
-                return list(map(tuple, digits))
+            digits = self.unpack_array(np.asarray(values, dtype=np.int64))
+            return list(map(tuple, digits.tolist()))
         return [self.decode(value) for value in values]
+
+    # -- array forms (int-form codecs only) -------------------------------
+
+    def unpack_array(self, packed: np.ndarray) -> np.ndarray:
+        """Digit matrix ``[state, core]`` of a packed ``int64`` array."""
+        shifts = np.asarray(self._shifts, dtype=np.int64)
+        return (packed[:, None] >> shifts) & self._mask
+
+    def pack_array(self, digits: np.ndarray) -> np.ndarray:
+        """Packed ``int64`` array of a ``[state, core]`` digit matrix."""
+        shifts = np.asarray(self._shifts, dtype=np.int64)
+        return digits @ (np.int64(1) << shifts)
 
     def describe(self) -> str:
         """One-line human-readable summary for logs and docs."""
@@ -221,23 +218,32 @@ class StateCodec:
         )
 
 
+def merge_fresh(seen: np.ndarray,
+                candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge one BFS level into a sorted visited array.
+
+    ``seen`` and ``candidates`` are ascending, duplicate-free packed
+    ``int64`` arrays. Returns ``(seen | fresh, fresh)``, where ``fresh``
+    holds the candidates not yet seen, ascending — exactly the order
+    ``sorted(next_frontier)`` gives the set-based loops.
+    """
+    pos = np.searchsorted(seen, candidates)
+    clipped = np.minimum(pos, seen.size - 1)
+    fresh = candidates[(pos == seen.size) | (seen[clipped] != candidates)]
+    return np.insert(seen, np.searchsorted(seen, fresh), fresh), fresh
+
+
 def decode_graph(codec: StateCodec,
                  edges: dict) -> dict[LoadState, frozenset[LoadState]]:
     """Decode a packed transition graph back to tuple form, in bulk.
 
     The boundary step of every packed closure: the tuple graph is what
     certificates, rendering, and store keys consume, so it must match
-    the tuple engine's graph key for key. Uses one vectorised numpy
-    unpack for int-form codecs when numpy is importable; otherwise the
-    scalar ``decode`` loop (bit-identical results either way).
+    the tuple engine's graph key for key. Uses one vectorised unpack
+    for int-form codecs and the scalar ``decode`` loop for bytes-form
+    ones (bit-identical results either way).
     """
-    numpy = None
-    if codec.use_int:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-    if numpy is None:
+    if not codec.use_int:
         return {
             codec.decode(packed): frozenset(
                 codec.decode(successor) for successor in successors
@@ -248,10 +254,8 @@ def decode_graph(codec: StateCodec,
     counts = [len(successors) for successors in edges.values()]
     for successors in edges.values():
         flat.extend(successors)
-    arr = numpy.asarray(flat, dtype=numpy.int64)
-    shifts = numpy.asarray(codec._shifts, dtype=numpy.int64)
-    digits = ((arr[:, None] >> shifts) & codec._mask).tolist()
-    states = list(map(tuple, digits))
+    digits = codec.unpack_array(np.asarray(flat, dtype=np.int64))
+    states = list(map(tuple, digits.tolist()))
     n_keys = len(edges)
     out: dict[LoadState, frozenset[LoadState]] = {}
     cursor = n_keys

@@ -36,6 +36,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.cpu import CoreSnapshot, CoreView
 from repro.core.errors import VerificationError
 from repro.core.machine import Machine
@@ -783,10 +785,9 @@ class HierarchicalModelChecker(ModelChecker):
         per_state: list[tuple[set[LoadState], bool]] = []
         missing: list[LoadState] = []
         loads_batch = codec.decode_batch(packed_states)
-        np = kernel._np
         tots_list: list[list[int]] | None = None
         runs_list: list[list[int]] | None = None
-        if np is not None and len(loads_batch) > 8:
+        if len(loads_batch) > 8:
             # Batch the per-group (total, running) aggregates of the
             # whole chunk: two matmuls against the core->group
             # indicator matrix replace a per-state per-core loop.
@@ -816,25 +817,21 @@ class HierarchicalModelChecker(ModelChecker):
                     memo[mid] = None  # type: ignore[assignment]
                     missing.append(mid)
         if missing:
-            # One kernel batch for every mid state the chunk needs:
-            # lets the numpy tier vectorise the multi-thief mids
-            # instead of running each through the Python executor.
-            group = self.symmetry
-            batched = kernel.expand_batch(codec.encode_batch(missing))
-            if group.is_trivial:
-                for mid, (raw, intra_truncated) in zip(missing, batched):
-                    memo[mid] = (frozenset(raw), intra_truncated)
-            else:
-                flat_raw = [s for raw, _ in batched for s in raw]
-                canon = group.canonicalize_batch(flat_raw, codec)
-                cursor = 0
-                for mid, (raw, intra_truncated) in zip(missing, batched):
-                    count = len(raw)
-                    memo[mid] = (
-                        frozenset(canon[cursor:cursor + count]),
-                        intra_truncated,
-                    )
-                    cursor += count
+            # One kernel batch and one canonicalisation call for every
+            # mid state the chunk needs.
+            values, counts, intra_flags = kernel.expand_batch_arrays(
+                codec.pack_array(np.asarray(missing, dtype=np.int64))
+            )
+            flat = self.symmetry.canonicalize_batch(values, codec).tolist()
+            cursor = 0
+            for mid, count, intra_truncated in zip(
+                missing, counts.tolist(), intra_flags.tolist(),
+            ):
+                memo[mid] = (
+                    frozenset(flat[cursor:cursor + count]),
+                    intra_truncated,
+                )
+                cursor += count
         out: list[tuple[frozenset[PackedState], bool]] = []
         for mids, truncated in per_state:
             if len(mids) == 1:

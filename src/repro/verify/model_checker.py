@@ -26,17 +26,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.obs.trace import TRACER
 from repro.topology.numa import NumaTopology
-from repro.verify.encoding import PackedState, StateCodec, decode_graph
+from repro.verify.encoding import (
+    PackedState,
+    StateCodec,
+    decode_graph,
+    merge_fresh,
+)
 from repro.verify.enumeration import (
     LoadState,
     StateScope,
     is_bad_state,
 )
-from repro.verify.kernel import TransitionKernel, _import_numpy, build_kernel
+from repro.verify.kernel import TransitionKernel, build_kernel
 from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
 from repro.verify.obligations import (
     GOOD_STATE_CLOSURE,
@@ -329,7 +336,7 @@ class ModelChecker:
         Returns the per-state ``(successors, truncated)`` entries plus
         the chunk's flat successor values (each state's deduped
         successors concatenated in input order): a numpy ``int64``
-        array on the vectorised path, else ``None``. The flat form
+        array on the kernel path, else ``None``. The flat form
         lets BFS drivers build the next frontier with array merges
         instead of per-state set unions.
         """
@@ -348,34 +355,9 @@ class ModelChecker:
                         truncated,
                     ))
             return out, None
-        if kernel._np is None:
-            # Python tier: per-state successor lists, one batch
-            # canonicalisation call for the whole chunk.
-            with TRACER.span("checker.expand", "checker", tier="python",
-                             states=len(packed_states)):
-                batched = kernel.expand_batch(packed_states)
-            if group.is_trivial:
-                return [
-                    (frozenset(raw), truncated)
-                    for raw, truncated in batched
-                ], None
-            flat_raw = [s for raw, _ in batched for s in raw]
-            with TRACER.span("checker.canonicalise", "checker",
-                             tier="python", values=len(flat_raw)):
-                canon = group.canonicalize_batch(flat_raw, codec)
-            entries = []
-            cursor = 0
-            for raw, truncated in batched:
-                count = len(raw)
-                entries.append((
-                    frozenset(canon[cursor:cursor + count]), truncated
-                ))
-                cursor += count
-            return entries, None
-        # Vectorised tier: expansion, canonicalisation, and per-state
+        # Kernel path: expansion, canonicalisation, and per-state
         # dedup all stay in int64 arrays; Python objects materialise
         # only at the memo boundary below (one bulk tolist).
-        np = kernel._np
 
         def dedup(values: Any, owner: Any) -> tuple[Any, Any]:
             order = np.lexsort((values, owner))
@@ -442,7 +424,7 @@ class ModelChecker:
 
         The third result concatenates every state's (deduped)
         successors: a numpy ``int64`` array when the whole chunk ran
-        the vectorised pipeline, else a plain list. BFS drivers use it
+        the kernel pipeline, else a plain list. BFS drivers use it
         to build the next frontier with one ``np.unique`` + merge
         instead of per-state set unions; the edge dict is unchanged
         and remains the wire/store form.
@@ -463,7 +445,7 @@ class ModelChecker:
             edges[packed] = succ
             truncated = truncated or trunc
         if flat is None or len(misses) != len(packed_states):
-            # Tuple/python tiers, or memo hits whose successors are not
+            # Tuple path, or memo hits whose successors are not
             # in the fresh flat array: collect from the frozensets.
             flat = [s for succ in edges.values() for s in succ]
         return edges, truncated, flat
@@ -514,18 +496,17 @@ class ModelChecker:
         # array path below canonicalise the whole initial set in one
         # packed batch instead of one Python call per state.
         codec = StateCodec.for_states(len(raw[0]), raw)
-        numpy = _import_numpy() if codec.use_int else None
         edges_packed: PackedGraph = {}
         truncated = False
-        if numpy is not None:
+        if codec.use_int:
             # Array-native frontier: visited membership is a sorted
             # int64 array probed with one searchsorted merge per level
             # instead of a Python set probed per successor. The fresh
             # frontier comes out ascending, exactly the order
             # ``sorted(next_frontier)`` produced, so expansion order —
             # and therefore every downstream byte — is unchanged.
-            frontier_arr = numpy.unique(self.symmetry.canonicalize_batch(
-                numpy.asarray(codec.encode_batch(raw), dtype=numpy.int64),
+            frontier_arr = np.unique(self.symmetry.canonicalize_batch(
+                np.asarray(codec.encode_batch(raw), dtype=np.int64),
                 codec,
             ))
             seen_arr = frontier_arr
@@ -542,18 +523,9 @@ class ModelChecker:
                 edges_packed.update(level_edges)
                 if on_expand is not None:
                     on_expand(len(edges_packed))
-                candidates = numpy.unique(numpy.asarray(
-                    flat, dtype=numpy.int64
-                ))
-                pos = numpy.searchsorted(seen_arr, candidates)
-                clipped = numpy.minimum(pos, seen_arr.size - 1)
-                fresh = candidates[
-                    (pos == seen_arr.size) | (seen_arr[clipped] != candidates)
-                ]
-                seen_arr = numpy.insert(
-                    seen_arr, numpy.searchsorted(seen_arr, fresh), fresh
+                seen_arr, frontier_arr = merge_fresh(
+                    seen_arr, np.unique(np.asarray(flat, dtype=np.int64))
                 )
-                frontier_arr = fresh
             return decode_graph(codec, edges_packed), truncated
         initial = [self._canon(s) for s in raw]
         frontier = sorted({codec.encode(s) for s in initial})

@@ -90,6 +90,8 @@ import pickle
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.core.policy import Policy
 from repro.obs.trace import TRACER
 from repro.topology.numa import NumaTopology
@@ -106,8 +108,12 @@ from repro.verify.lemmas import (
     check_lemma1,
     check_steal_soundness,
 )
-from repro.verify.encoding import PackedState, StateCodec, decode_graph
-from repro.verify.kernel import _import_numpy
+from repro.verify.encoding import (
+    PackedState,
+    StateCodec,
+    decode_graph,
+    merge_fresh,
+)
 from repro.verify.model_checker import (
     ModelChecker,
     PackedGraph,
@@ -554,11 +560,10 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     if not canon:
         return {}, False
     codec = StateCodec.for_states(len(next(iter(canon))), canon)
-    numpy = _import_numpy() if codec.use_int else None
     edges: PackedGraph = {}
     truncated = False
     level = 0
-    if numpy is not None:
+    if codec.use_int:
         # Array-native frontier bookkeeping: visited membership is a
         # sorted int64 array probed with one searchsorted merge per
         # level. Shard edge dicts stay the wire form; their successor
@@ -566,8 +571,8 @@ def bfs_closure(map_expand: Callable, n_shards: int,
         # per-successor set probes. The fresh frontier comes out
         # ascending — exactly ``sorted(next_frontier)`` — so striping
         # and every downstream byte are unchanged.
-        frontier_arr = numpy.unique(numpy.asarray(
-            codec.encode_batch(list(canon)), dtype=numpy.int64
+        frontier_arr = np.unique(np.asarray(
+            codec.encode_batch(list(canon)), dtype=np.int64
         ))
         seen_arr = frontier_arr
         while frontier_arr.size:
@@ -583,18 +588,11 @@ def bfs_closure(map_expand: Callable, n_shards: int,
                 ):
                     edges.update(shard_edges)
                     truncated = truncated or shard_truncated
-            candidates = numpy.unique(numpy.fromiter(
+            candidates = np.unique(np.fromiter(
                 (s for state in frontier for s in edges[state]),
-                dtype=numpy.int64,
+                dtype=np.int64,
             ))
-            pos = numpy.searchsorted(seen_arr, candidates)
-            clipped = numpy.minimum(pos, seen_arr.size - 1)
-            fresh = candidates[
-                (pos == seen_arr.size) | (seen_arr[clipped] != candidates)
-            ]
-            seen_arr = numpy.insert(
-                seen_arr, numpy.searchsorted(seen_arr, fresh), fresh
-            )
+            seen_arr, fresh = merge_fresh(seen_arr, candidates)
             if on_level is not None:
                 on_level(level, len(frontier), int(fresh.size))
             level += 1

@@ -61,7 +61,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.core.errors import VerificationError
 from repro.topology.domains import SchedDomain
@@ -77,15 +79,6 @@ from repro.verify.enumeration import (
     iter_canonical_states,
     iter_states,
 )
-
-
-def _numpy() -> Any:
-    """numpy when importable, else ``None`` (scalar fallbacks apply)."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is present in CI
-        return None
-    return numpy
 
 
 class SymmetryGroup:
@@ -134,26 +127,21 @@ class SymmetryGroup:
         """
         return codec.encode(self.canonicalize(codec.decode(packed)))
 
-    def canonicalize_batch(self, packed: Any, codec: "StateCodec") -> Any:
+    def canonicalize_batch(self, packed: np.ndarray,
+                           codec: "StateCodec") -> np.ndarray:
         """:meth:`canonicalize_packed` over a whole batch at once.
 
-        Accepts either a sequence of packed states or (int-form codecs)
-        a numpy ``int64`` array, and returns the same container kind:
-        array in, array out; sequence in, list out. The batch form is
-        the engines' canonicalisation surface — one call per expansion
-        level instead of one per successor — and subclasses override it
-        with fully vectorised digit-sort paths. The base implementation
-        is the scalar loop, so exotic groups and bytes-form codecs stay
-        correct without a numpy rewrite.
+        Takes and returns a packed ``int64`` array under an int-form
+        codec. The batch form is the engines' canonicalisation surface —
+        one call per expansion level instead of one per successor — and
+        subclasses override it with fully vectorised digit-sort paths.
+        The base implementation is the scalar loop, so exotic groups
+        stay correct without a numpy rewrite.
         """
-        numpy = _numpy()
-        if numpy is not None and isinstance(packed, numpy.ndarray):
-            values = [
-                self.canonicalize_packed(state, codec)
-                for state in packed.tolist()
-            ]
-            return numpy.asarray(values, dtype=numpy.int64)
-        return [self.canonicalize_packed(state, codec) for state in packed]
+        return np.asarray([
+            self.canonicalize_packed(state, codec)
+            for state in packed.tolist()
+        ], dtype=np.int64)
 
     def iter_representatives(self, scope: StateScope) -> Iterator[LoadState]:
         """Yield exactly one state per orbit intersecting ``scope``.
@@ -251,15 +239,9 @@ class TrivialGroup(SymmetryGroup):
                             codec: StateCodec) -> PackedState:
         return packed
 
-    def canonicalize_batch(self, packed: Any, codec: StateCodec) -> Any:
-        # Identity passthrough: the caller's array (or sequence) is
-        # already canonical, digit for digit.
-        if isinstance(packed, list):
-            return packed
-        numpy = _numpy()
-        if numpy is not None and isinstance(packed, numpy.ndarray):
-            return packed
-        return list(packed)
+    def canonicalize_batch(self, packed: np.ndarray,
+                           codec: StateCodec) -> np.ndarray:
+        return packed
 
     def iter_representatives(self, scope: StateScope) -> Iterator[LoadState]:
         return iter_states(scope)
@@ -299,22 +281,12 @@ class FlatSymmetryGroup(SymmetryGroup):
         # member: descending digits == descending-sorted loads.
         return codec.sort_desc(packed)
 
-    def canonicalize_batch(self, packed: Any, codec: StateCodec) -> Any:
-        numpy = _numpy()
-        if numpy is None or not codec.use_int:
-            return super().canonicalize_batch(packed, codec)
-        is_array = isinstance(packed, numpy.ndarray)
-        arr = packed if is_array \
-            else numpy.asarray(list(packed), dtype=numpy.int64)
-        if arr.size == 0:
-            return arr if is_array else []
-        shifts = numpy.asarray(codec._shifts, dtype=numpy.int64)
-        digits = (arr[:, None] >> shifts) & codec._mask
-        # One argsort-free descending sort per row, then repack against
-        # the descending place values (column 0 is most significant).
-        digits = numpy.sort(digits, axis=1)[:, ::-1]
-        out = digits @ (numpy.int64(1) << shifts)
-        return out if is_array else out.tolist()
+    def canonicalize_batch(self, packed: np.ndarray,
+                           codec: StateCodec) -> np.ndarray:
+        # One descending sort per row, then repack against the place
+        # values (column 0 is most significant).
+        digits = np.sort(codec.unpack_array(packed), axis=1)[:, ::-1]
+        return codec.pack_array(digits)
 
     def iter_representatives(self, scope: StateScope) -> Iterator[LoadState]:
         return iter_canonical_states(scope)
@@ -442,7 +414,8 @@ class BlockSymmetryGroup(SymmetryGroup):
                 out[cid] = value
         return tuple(out)
 
-    def canonicalize_batch(self, packed: Any, codec: StateCodec) -> Any:
+    def canonicalize_batch(self, packed: np.ndarray,
+                           codec: StateCodec) -> np.ndarray:
         """Vectorised block canonicalisation over a whole batch.
 
         Mirrors :meth:`canonicalize` with array ops: each block's
@@ -455,40 +428,29 @@ class BlockSymmetryGroup(SymmetryGroup):
         mean identical block tuples, so any tie order is the same
         assignment.
         """
-        numpy = _numpy()
-        if numpy is None or not codec.use_int:
-            return super().canonicalize_batch(packed, codec)
-        is_array = isinstance(packed, numpy.ndarray)
-        arr = packed if is_array \
-            else numpy.asarray(list(packed), dtype=numpy.int64)
-        if arr.size == 0:
-            return arr if is_array else []
-        shifts = numpy.asarray(codec._shifts, dtype=numpy.int64)
-        digits = (arr[:, None] >> shifts) & codec._mask
+        digits = codec.unpack_array(packed)
         for block in self.blocks:
             cols = list(block)
             if len(cols) > 1:
-                digits[:, cols] = -numpy.sort(-digits[:, cols], axis=1)
+                digits[:, cols] = -np.sort(-digits[:, cols], axis=1)
         for cls in self.classes:
             if len(cls) < 2:
                 continue
             size = len(self.blocks[cls[0]])
-            score_weights = numpy.int64(1) << (
-                codec.bits * numpy.arange(size - 1, -1, -1,
-                                          dtype=numpy.int64)
+            score_weights = np.int64(1) << (
+                codec.bits * np.arange(size - 1, -1, -1, dtype=np.int64)
             )
-            stacked = numpy.stack(
+            stacked = np.stack(
                 [digits[:, list(self.blocks[b])] for b in cls], axis=1
             )
             scores = stacked @ score_weights
-            order = numpy.argsort(-scores, axis=1, kind="stable")
-            stacked = numpy.take_along_axis(
+            order = np.argsort(-scores, axis=1, kind="stable")
+            stacked = np.take_along_axis(
                 stacked, order[:, :, None], axis=1
             )
             for position, b in enumerate(cls):
                 digits[:, list(self.blocks[b])] = stacked[:, position]
-        out = digits @ (numpy.int64(1) << shifts)
-        return out if is_array else out.tolist()
+        return codec.pack_array(digits)
 
     # ------------------------------------------------------------------
     # representative enumeration and counting

@@ -59,7 +59,6 @@ from repro.core.policy import Policy
 from repro.topology.numa import NumaTopology
 from repro.verify.campaign import CampaignConfig
 from repro.verify.encoding import PackedState, StateCodec
-from repro.verify.enumeration import LoadState
 from repro.verify.hierarchical import HierarchySpec
 from repro.verify.parallel import PolicyReplicator, ShardSpec
 from repro.verify.symmetry import SymmetryGroup
@@ -81,7 +80,9 @@ from repro.verify.transition import DEFAULT_MAX_ORDERS
 #: (captured spans + the worker's clock reading, for coordinator-side
 #: timeline merging). Incompatible because a v4 peer would hand the
 #: wrapper to its reducers as if it were the result.
-WIRE_VERSION = 5
+#: v6: :class:`ExpandTask` lost its tuple-form ``states`` field; the
+#: packed ``codec`` is required.
+WIRE_VERSION = 6
 
 #: Format byte for pickle-encoded envelopes (arbitrary Python payloads).
 FORMAT_PICKLE = b"P"
@@ -205,26 +206,21 @@ class LivenessTask:
 class ExpandTask:
     """Expand one BFS frontier chunk: successors of each state.
 
-    Since wire v3 the coordinator ships frontier chunks in packed form
-    (``codec`` + ``packed``) and the worker answers with a packed graph;
-    ``states`` remains for tuple-form chunks (legacy payloads and
-    direct-runtime callers), used only when ``codec`` is ``None``.
+    The coordinator ships frontier chunks in packed form (``codec`` +
+    ``packed``) and the worker answers with a packed graph.
 
     Attributes:
         config: checker parameters (workers memoize per config).
-        codec: the closure's :class:`~repro.verify.encoding.StateCodec`;
-            ``None`` selects the tuple-form ``states`` path.
+        codec: the closure's :class:`~repro.verify.encoding.StateCodec`.
         packed: the chunk of never-before-expanded frontier states,
             packed under ``codec``.
-        states: tuple-form chunk (only read when ``codec`` is ``None``).
         sequential: §4.2 regime flag.
         trace: ship worker spans back (see :class:`SweepTask`).
     """
 
     config: CheckerConfig
-    codec: StateCodec | None = None
+    codec: StateCodec
     packed: tuple[PackedState, ...] = ()
-    states: tuple[LoadState, ...] = ()
     sequential: bool = False
     trace: bool = False
 

@@ -8,6 +8,7 @@ from repro.api import Session, VerificationRequest
 from repro.cli import _ProgressPrinter
 from repro.obs.trace import TRACER
 from repro.policies import BalanceCountPolicy
+from repro.verify import StateCodec
 from repro.verify.distributed import WorkerRuntime
 from repro.verify.wire import CheckerConfig, ExpandTask, TracedResult
 
@@ -44,11 +45,17 @@ class TestEngineSpans:
         assert TRACER.spans() == ()
 
 
+def _expand_task(trace=False):
+    codec = StateCodec(n_cores=3, max_value=6)
+    return ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
+                      codec=codec, packed=(codec.encode((0, 1, 2)),),
+                      trace=trace)
+
+
 class TestWorkerCapture:
     def test_traced_task_returns_wrapped_spans(self):
         runtime = WorkerRuntime()
-        task = ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                          states=((0, 1, 2),), trace=True)
+        task = _expand_task(trace=True)
         outcome = runtime.execute(task)
         assert isinstance(outcome, TracedResult)
         assert outcome.pid > 0
@@ -61,8 +68,7 @@ class TestWorkerCapture:
 
     def test_untraced_task_returns_the_bare_value(self):
         runtime = WorkerRuntime()
-        task = ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                          states=((0, 1, 2),))
+        task = _expand_task()
         assert not isinstance(runtime.execute(task), TracedResult)
 
     def test_coordinator_side_tracer_wins_over_capture(self):
@@ -70,8 +76,7 @@ class TestWorkerCapture:
         # must land there directly, not be double-wrapped.
         TRACER.enable()
         runtime = WorkerRuntime()
-        task = ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                          states=((0, 1, 2),), trace=True)
+        task = _expand_task(trace=True)
         outcome = runtime.execute(task)
         assert not isinstance(outcome, TracedResult)
         assert any(span.name == "worker.ExpandTask"

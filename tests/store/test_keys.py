@@ -2,6 +2,7 @@
 result-changing differences never do."""
 
 import json
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,20 @@ from repro.store import (
     store_key,
     subsumes,
 )
+
+
+#: Host CPU counts the ``jobs=0`` tests run under: one CPU resolves
+#: ``jobs=0`` to a serial key, several to a pool key, so exercising
+#: both keeps host-dependent keying from hiding on any test machine.
+HOST_CPU_COUNTS = (1, 4)
+
+
+def host_cpu_counts(monkeypatch):
+    """Yield each of :data:`HOST_CPU_COUNTS` with ``os.cpu_count``
+    patched to report it."""
+    for cpus in HOST_CPU_COUNTS:
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        yield cpus
 
 
 def prove_request(**kwargs):
@@ -94,35 +109,51 @@ class TestSemanticInvariance:
                                        endpoints)}
         assert len(keys) == 1
 
-    def test_jobs_zero_persists_machine_independently(self):
+    def test_jobs_zero_persists_machine_independently(self, monkeypatch):
         # jobs=0 resolves to this machine's CPU count; the stored
         # spelling must embed the resolved value so re-hash
         # verification gives the same answer on every host.
-        import os
-
         from repro.store import storage_request
 
         auto = with_engine(prove_request(),
                            EngineSpec(kind="pool", jobs=0))
-        persisted = storage_request(auto)
-        assert store_key(persisted) == store_key(auto)
-        cpus = os.cpu_count() or 1
-        if cpus == 1:
-            assert persisted.engine == EngineSpec()
-        else:
-            assert persisted.engine == EngineSpec(kind="pool", jobs=cpus)
+        for cpus in host_cpu_counts(monkeypatch):
+            persisted = storage_request(auto)
+            assert store_key(persisted) == store_key(auto)
+            if cpus == 1:
+                assert persisted.engine == EngineSpec()
+            else:
+                assert persisted.engine == EngineSpec(kind="pool",
+                                                      jobs=cpus)
 
-    def test_entries_for_jobs_zero_survive_reverification(self, tmp_path):
-        from repro.api import Session
+    def test_entries_for_jobs_zero_survive_reverification(self, tmp_path,
+                                                         monkeypatch):
+        from repro.api import (
+            LevelCompleted,
+            ResultReused,
+            Session,
+            StatesExplored,
+        )
         from repro.store import FileStore
 
-        store = FileStore(tmp_path)
         auto = with_engine(prove_request(),
                            EngineSpec(kind="pool", jobs=0))
-        Session(store=store).run(auto)
-        report = store.verify_integrity()
-        assert report.kept == 1 and report.evicted == ()
-        assert store.load(store_key(auto)) is not None
+        for cpus in host_cpu_counts(monkeypatch):
+            store = FileStore(tmp_path / f"cpus-{cpus}")
+            Session(store=store).run(auto)
+            report = store.verify_integrity()
+            assert report.kept == 1 and report.evicted == ()
+            # A proved result lives at the engine-normalised proof key,
+            # whatever jobs=0 resolved to on this host...
+            assert store.load(proof_key(auto)) is not None
+            # ...and a warm re-run is served from there, exploring
+            # nothing.
+            events = []
+            Session(store=store, subscribers=[events.append]).run(auto)
+            reused = [e for e in events if isinstance(e, ResultReused)]
+            assert [e.key for e in reused] == [proof_key(auto)]
+            assert not [e for e in events
+                        if isinstance(e, (LevelCompleted, StatesExplored))]
 
     def test_endpoint_addresses_do_not_change_the_key(self):
         # A worker fleet reconnecting on new OS-assigned ports keeps

@@ -23,6 +23,7 @@ from repro.verify import (
     LocalWorkerPool,
     ModelChecker,
     SocketTransport,
+    StateCodec,
     StateScope,
     TaskFailed,
     WorkerLost,
@@ -315,24 +316,29 @@ class TestSubprocessPool:
 
 
 class TestWorkerRuntime:
+    CODEC = StateCodec(n_cores=3, max_value=6)
+
+    def expand(self, runtime, config, state):
+        return runtime.execute(ExpandTask(
+            config=config, codec=self.CODEC,
+            packed=(self.CODEC.encode(state),),
+        ))
+
     def test_checker_memo_is_shared_across_expand_tasks(self):
         runtime = WorkerRuntime()
         config = CheckerConfig(policy=BalanceCountPolicy())
-        runtime.execute(ExpandTask(config=config, states=((0, 1, 2),)))
-        runtime.execute(ExpandTask(config=config, states=((0, 2, 2),)))
+        self.expand(runtime, config, (0, 1, 2))
+        self.expand(runtime, config, (0, 2, 2))
         assert len(runtime._checkers) == 1
 
     def test_distinct_configs_get_distinct_checkers(self):
         runtime = WorkerRuntime()
-        runtime.execute(ExpandTask(
-            config=CheckerConfig(policy=BalanceCountPolicy()),
-            states=((0, 1, 2),),
-        ))
-        runtime.execute(ExpandTask(
-            config=CheckerConfig(policy=BalanceCountPolicy(),
-                                 symmetric=True),
-            states=((2, 1, 0),),
-        ))
+        self.expand(runtime, CheckerConfig(policy=BalanceCountPolicy()),
+                    (0, 1, 2))
+        self.expand(runtime,
+                    CheckerConfig(policy=BalanceCountPolicy(),
+                                  symmetric=True),
+                    (2, 1, 0))
         assert len(runtime._checkers) == 2
 
     def test_unknown_payload_rejected(self):

@@ -5,15 +5,18 @@ executor it replaces, so every test here is a differential one:
 
 * ``TransitionKernel`` successors and truncation flags versus
   :func:`~repro.verify.transition.enumerate_round_branches`, across
-  policies, permutation caps, and both the Python and numpy tiers;
+  policies and permutation caps;
 * the hierarchical packed fast path's ``_inter_mid_states`` versus the
   shared tuple helper ``_inter_outcomes`` (the docstring contract in
   ``repro.verify.hierarchical`` points at this file);
-* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs).
+* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs);
+* bytes-form codecs, which the kernel declines: their closures run on
+  the tuple executor through the set-based BFS loops.
 """
 
 import itertools
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,12 +43,6 @@ from repro.verify.kernel import kernel_mode
 from repro.verify.symmetry import TrivialGroup
 from repro.verify.transition import enumerate_round_branches
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
 POLICIES = [
     BalanceCountPolicy(),
     GreedyHalvingPolicy(),
@@ -57,19 +54,25 @@ POLICIES = [
     WeightedBalancePolicy(),
 ]
 
-TIERS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+
+def kernel_for(policy, codec, max_orders=5040):
+    """Build a kernel regardless of the ``REPRO_KERNEL`` environment."""
+    return TransitionKernel(policy, codec, max_orders=max_orders)
 
 
-def kernel_for(policy, codec, tier, max_orders=5040):
-    """Build a kernel pinned to one tier regardless of the environment."""
-    return TransitionKernel(
-        policy, codec, max_orders=max_orders,
-        numpy=numpy if tier == "numpy" else None,
+def expand_per_state(kernel, packed):
+    """``expand_batch_arrays`` split into per-state successor runs."""
+    values, counts, truncated = kernel.expand_batch_arrays(
+        numpy.asarray(packed, dtype=numpy.int64)
     )
+    assert len(values) == int(counts.sum())
+    runs = numpy.split(values, numpy.cumsum(counts)[:-1])
+    return [(run.tolist(), flag)
+            for run, flag in zip(runs, truncated.tolist())]
 
 
 def assert_batch_matches_tuples(kernel, codec, states, max_orders):
-    batch = kernel.expand_batch(codec.encode_batch(states))
+    batch = expand_per_state(kernel, codec.encode_batch(states))
     for state, (succ, truncated) in zip(states, batch):
         reference = enumerate_round_branches(
             kernel.policy, state, max_orders=max_orders
@@ -80,32 +83,29 @@ def assert_batch_matches_tuples(kernel, codec, states, max_orders):
 
 
 class TestKernelMatchesTupleExecutor:
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize(
         "policy", POLICIES, ids=lambda p: p.name,
     )
-    def test_full_product_space(self, policy, tier):
+    def test_full_product_space(self, policy):
         """Every 4-core state with loads 0..3, uncapped permutations."""
         states = list(itertools.product(range(4), repeat=4))
         codec = StateCodec(n_cores=4, max_value=12)
-        kernel = kernel_for(policy, codec, tier)
+        kernel = kernel_for(policy, codec)
         assert_batch_matches_tuples(kernel, codec, states, 5040)
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("max_orders", [1, 2, 3])
-    def test_truncation_caps_agree(self, tier, max_orders):
+    def test_truncation_caps_agree(self, max_orders):
         """The per-combination permutation cap and its truncation flag."""
         states = list(itertools.product(range(4), repeat=4))
         codec = StateCodec(n_cores=4, max_value=12)
         kernel = kernel_for(
-            NaiveOverloadedPolicy(), codec, tier, max_orders=max_orders
+            NaiveOverloadedPolicy(), codec, max_orders=max_orders
         )
         assert_batch_matches_tuples(kernel, codec, states, max_orders)
 
-    @pytest.mark.parametrize("tier", TIERS)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_wider_states(self, tier, data):
+    def test_random_wider_states(self, data):
         """Sampled 5-core states — beyond the exhaustive 4-core grid."""
         policy = data.draw(st.sampled_from(POLICIES))
         states = data.draw(st.lists(
@@ -114,20 +114,8 @@ class TestKernelMatchesTupleExecutor:
             min_size=1, max_size=8,
         ))
         codec = StateCodec(n_cores=5, max_value=15)
-        kernel = kernel_for(policy, codec, tier, max_orders=6)
+        kernel = kernel_for(policy, codec, max_orders=6)
         assert_batch_matches_tuples(kernel, codec, states, 6)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_python_and_numpy_tiers_agree(self):
-        states = list(itertools.product(range(4), repeat=4))
-        codec = StateCodec(n_cores=4, max_value=12)
-        py = kernel_for(BalanceCountPolicy(), codec, "python")
-        np_ = kernel_for(BalanceCountPolicy(), codec, "numpy")
-        packed = codec.encode_batch(states)
-        for (a, ta), (b, tb) in zip(py.expand_batch(packed),
-                                    np_.expand_batch(packed)):
-            assert set(a) == set(b)
-            assert ta == tb
 
 
 class TestHierarchicalMidStates:
@@ -169,12 +157,15 @@ class TestHierarchicalMidStates:
 class TestEligibilityGates:
     def test_mode_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernel_mode() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", " PYTHON ")
-        assert kernel_mode() == "python"
-        monkeypatch.setenv("REPRO_KERNEL", "vectorised")
-        with pytest.raises(VerificationError):
-            kernel_mode()
+        assert kernel_mode() == "numpy"
+        monkeypatch.setenv("REPRO_KERNEL", " OFF ")
+        assert kernel_mode() == "off"
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        assert kernel_mode() == "numpy"
+        for retired in ("python", "auto", "vectorised"):
+            monkeypatch.setenv("REPRO_KERNEL", retired)
+            with pytest.raises(VerificationError, match="off|numpy"):
+                kernel_mode()
 
     def test_off_disables_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "off")
@@ -182,9 +173,10 @@ class TestEligibilityGates:
         assert build_kernel(BalanceCountPolicy(), codec) is None
 
     def test_policy_and_checker_opt_outs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
         codec = StateCodec(n_cores=3, max_value=6)
         policy = BalanceCountPolicy()
+        assert build_kernel(policy, codec) is not None
         assert build_kernel(policy, codec, choice_mode="policy") is None
         assert build_kernel(policy, codec, max_orders=0) is None
 
@@ -193,19 +185,65 @@ class TestEligibilityGates:
 
         assert build_kernel(OpaquePolicy(), codec) is None
 
-    @pytest.mark.skipif(HAVE_NUMPY, reason="numpy is installed")
-    def test_numpy_mode_requires_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        codec = StateCodec(n_cores=3, max_value=6)
-        with pytest.raises(VerificationError):
-            build_kernel(BalanceCountPolicy(), codec)
+
+class TestWideCodecs:
+    """Codecs the kernel declines: the closure runs on the tuple oracle.
+
+    Two cores at 41 bits overflow the 63-bit int form, so the codec
+    packs to bytes and the closure runs through the set-based BFS loops
+    of ``explore`` and ``bfs_closure`` — the only tests of those loops.
+    At 21 bits the int form fits, but ``(max_value + 1)^2`` probe tables
+    would not fit in memory.
+    """
+
+    WIDE = pytest.mark.parametrize("bits", [41, 21],
+                                   ids=["bytes-form", "wide-int-form"])
+
+    @staticmethod
+    def initial(bits):
+        return [(0, 1 << (bits - 1)), (3, 5)]
+
+    @WIDE
+    def test_kernel_declines(self, bits, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        codec = StateCodec.for_states(2, self.initial(bits))
+        assert codec.use_int == (bits < 32)
+        assert build_kernel(GreedyHalvingPolicy(), codec) is None
+
+    @WIDE
+    def test_serial_and_sharded_closures_agree(self, bits):
+        from repro.verify.model_checker import ModelChecker
+        from repro.verify.parallel import bfs_closure
+
+        graph, truncated = ModelChecker(GreedyHalvingPolicy()).explore(
+            self.initial(bits)
+        )
+        half = 1 << (bits - 2)
+        assert graph == {
+            (0, 2 * half): frozenset({(half, half)}),
+            (half, half): frozenset({(half, half)}),
+            (3, 5): frozenset({(4, 4)}),
+            (4, 4): frozenset({(4, 4)}),
+        }
+        assert not truncated
+
+        # Each shard gets its own checker, so no shard reads another's
+        # successor memo.
+        shards = [ModelChecker(GreedyHalvingPolicy()) for _ in range(2)]
+
+        def map_expand(codec, chunks, sequential):
+            return [shard.expand_packed(chunk, codec, sequential)
+                    for shard, chunk in zip(shards, chunks)]
+
+        sharded = bfs_closure(map_expand, 2, self.initial(bits),
+                              symmetric=False)
+        assert sharded == (graph, truncated)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestManyThiefExpansion:
     """The n-thief array expansion versus the tuple executor.
 
-    The numpy tier executes *every* thief count through the mixed-radix
+    The kernel executes *every* thief count through the mixed-radix
     shared-prefix-tree expansion — there is no per-state fallback — so
     states with three, four, and five racing thieves must reproduce the
     tuple executor's successor sets and truncation flags exactly, caps
@@ -225,23 +263,23 @@ class TestManyThiefExpansion:
     @staticmethod
     def thief_count(kernel, packed):
         """Number of cores with at least one admissible victim."""
-        np = kernel._np
-        arr = np.asarray([packed], dtype=np.int64)
-        loads = (arr[:, None] >> kernel._shifts_np) & kernel._digit_mask
-        running = (loads > 0).astype(np.int64)
+        loads = kernel.codec.unpack_array(
+            numpy.asarray([packed], dtype=numpy.int64)
+        )
+        running = (loads > 0).astype(numpy.int64)
         ready = loads - running
-        intents = kernel._can_np[
+        intents = kernel._can[
             running[:, :, None], running[:, None, :],
             ready[:, :, None], ready[:, None, :],
         ]
-        intents &= ~kernel._eye_np
-        if kernel._mask_np is not None:
-            intents &= kernel._mask_np
+        intents &= ~kernel._eye
+        if kernel._mask is not None:
+            intents &= kernel._mask
         return int(intents.any(axis=2).sum())
 
     def test_handpicked_states_cover_three_to_five_thieves(self):
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         counts = {
             self.thief_count(kernel, codec.encode(s))
             for s in self.MANY_THIEF_STATES
@@ -254,7 +292,7 @@ class TestManyThiefExpansion:
         permissive policies make the uncapped tuple oracle enumerate
         hundreds of thousands of orders per state."""
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(policy, codec, "numpy", max_orders=30)
+        kernel = kernel_for(policy, codec, max_orders=30)
         assert_batch_matches_tuples(
             kernel, codec, self.MANY_THIEF_STATES, 30
         )
@@ -262,7 +300,7 @@ class TestManyThiefExpansion:
     def test_many_thief_uncapped_universe(self):
         """The full k! = 120 order universe, no truncation anywhere."""
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         assert_batch_matches_tuples(
             kernel, codec, self.MANY_THIEF_STATES, 5040
         )
@@ -272,7 +310,7 @@ class TestManyThiefExpansion:
         """Caps that truncate 3!, 4! and 5! mid-tree, flag included."""
         codec = StateCodec(n_cores=6, max_value=20)
         kernel = kernel_for(
-            BalanceCountPolicy(), codec, "numpy", max_orders=max_orders
+            BalanceCountPolicy(), codec, max_orders=max_orders
         )
         assert_batch_matches_tuples(
             kernel, codec, self.MANY_THIEF_STATES, max_orders
@@ -288,27 +326,18 @@ class TestManyThiefExpansion:
         """
         states = list(itertools.product((0, 2, 3), repeat=6))
         codec = StateCodec(n_cores=6, max_value=18)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy",
+        kernel = kernel_for(BalanceCountPolicy(), codec,
                             max_orders=24)
         assert_batch_matches_tuples(kernel, codec, states, 24)
 
     def test_expand_batch_arrays_layout(self):
         """The flat (values, counts, truncated) contract: state ``i``
-        owns the run ``values[sum(counts[:i]):][:counts[i]]``, matching
-        ``expand_batch`` exactly."""
+        owns the run ``values[sum(counts[:i]):][:counts[i]]``, exactly
+        what expanding state ``i`` alone returns."""
         codec = StateCodec(n_cores=6, max_value=20)
-        kernel = kernel_for(BalanceCountPolicy(), codec, "numpy")
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         packed = codec.encode_batch(self.MANY_THIEF_STATES)
-        values, counts, truncated = kernel.expand_batch_arrays(
-            numpy.asarray(packed, dtype=numpy.int64)
-        )
-        assert len(values) == int(counts.sum())
-        flat = values.tolist()
-        cursor = 0
-        for (succ, trunc), count, tflag in zip(
-            kernel.expand_batch(packed), counts.tolist(),
-            truncated.tolist(),
-        ):
-            assert flat[cursor:cursor + count] == succ
-            assert trunc == tflag
-            cursor += count
+        batch = expand_per_state(kernel, packed)
+        assert len(batch) == len(packed)
+        for state, run in zip(packed, batch):
+            assert expand_per_state(kernel, [state]) == [run]

@@ -328,12 +328,7 @@ class TestChoiceEquivarianceGuard:
                      symmetric=True)
 
 
-try:
-    import numpy
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is present in CI
-    HAVE_NUMPY = False
-
+import numpy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -361,14 +356,24 @@ def states_batch(n_cores, max_value):
     )
 
 
+def assert_batch_matches_scalar(group, codec, states):
+    packed = codec.encode_batch(states)
+    expected = [group.canonicalize_packed(p, codec) for p in packed]
+    out = group.canonicalize_batch(
+        numpy.asarray(packed, dtype=numpy.int64), codec
+    )
+    assert isinstance(out, numpy.ndarray)
+    assert out.tolist() == expected
+
+
 class TestBatchCanonicalisation:
     """``canonicalize_batch`` is pointwise ``canonicalize_packed``.
 
     The array pipeline's soundness rests on this equality: the closure
     engines canonicalise whole successor arrays in one call, and any
     divergence from the scalar path would silently change verdicts.
-    Pinned for every group shape and both codec forms (int and bytes —
-    the latter exercising the scalar fallback).
+    Pinned for every group shape on int-form codecs, the only ones the
+    array pipeline runs on.
     """
 
     @pytest.mark.parametrize("label,n_cores,group", BATCH_GROUPS,
@@ -380,28 +385,7 @@ class TestBatchCanonicalisation:
         states = data.draw(states_batch(n_cores, 6))
         codec = StateCodec(n_cores=n_cores, max_value=6)
         assert codec.use_int
-        packed = codec.encode_batch(states)
-        expected = [group.canonicalize_packed(p, codec) for p in packed]
-        assert list(group.canonicalize_batch(packed, codec)) == expected
-        if HAVE_NUMPY:
-            arr = numpy.asarray(packed, dtype=numpy.int64)
-            out = group.canonicalize_batch(arr, codec)
-            assert isinstance(out, numpy.ndarray)
-            assert out.tolist() == expected
-
-    @pytest.mark.parametrize("label,n_cores,group", BATCH_GROUPS,
-                             ids=[g[0] for g in BATCH_GROUPS])
-    @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_matches_scalar_on_bytes_codec(self, label, n_cores, group,
-                                           data):
-        max_value = 1 << 20
-        states = data.draw(states_batch(n_cores, max_value))
-        codec = StateCodec(n_cores=n_cores, max_value=max_value)
-        assert not codec.use_int
-        packed = codec.encode_batch(states)
-        expected = [group.canonicalize_packed(p, codec) for p in packed]
-        assert list(group.canonicalize_batch(packed, codec)) == expected
+        assert_batch_matches_scalar(group, codec, states)
 
     @pytest.mark.parametrize("label,n_cores,group", BATCH_GROUPS,
                              ids=[g[0] for g in BATCH_GROUPS])
@@ -411,6 +395,4 @@ class TestBatchCanonicalisation:
         codec = StateCodec(n_cores=n_cores, max_value=3 * n_cores)
         states = list(itertools.product(range(max_load + 1),
                                         repeat=n_cores))
-        packed = codec.encode_batch(states)
-        expected = [group.canonicalize_packed(p, codec) for p in packed]
-        assert list(group.canonicalize_batch(packed, codec)) == expected
+        assert_batch_matches_scalar(group, codec, states)

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.policies import BalanceCountPolicy
-from repro.verify import StateScope
+from repro.verify import StateCodec, StateScope
 from repro.verify.parallel import ShardSpec
 from repro.verify.wire import (
     ALL_KINDS,
@@ -39,6 +39,7 @@ from repro.verify.parallel import PolicyReplicator
 SCOPE = StateScope(n_cores=3, max_load=2)
 SPEC = ShardSpec(policy=BalanceCountPolicy(), scope=SCOPE, shard=0,
                  n_shards=2)
+CODEC = StateCodec.for_scope(SCOPE)
 
 
 class TestEncodeDecode:
@@ -47,7 +48,10 @@ class TestEncodeDecode:
             SweepTask(spec=SPEC),
             LivenessTask(spec=SPEC),
             ExpandTask(config=CheckerConfig(policy=BalanceCountPolicy()),
-                       states=((0, 1, 2), (1, 1, 1)), sequential=True),
+                       codec=CODEC,
+                       packed=tuple(CODEC.encode_batch([(0, 1, 2),
+                                                        (1, 1, 1)])),
+                       sequential=True),
             CampaignTask(replicator=PolicyReplicator(BalanceCountPolicy()),
                          config=CampaignConfig(n_machines=3)),
         ]
@@ -185,9 +189,12 @@ class TestFraming:
     def test_concurrent_sender(self):
         """A frame sent from another thread arrives intact."""
         server, client = self._pair()
+        codec = StateCodec(n_cores=3, max_value=201)
         payload = ExpandTask(
             config=CheckerConfig(policy=BalanceCountPolicy()),
-            states=tuple((i, i + 1, i + 2) for i in range(200)),
+            codec=codec,
+            packed=tuple(codec.encode((i, i + 1, i + 2))
+                         for i in range(200)),
         )
 
         def send():
@@ -198,7 +205,8 @@ class TestFraming:
         thread.start()
         try:
             received = recv_message(server)
-            assert received.payload.states == payload.states
+            assert received.payload.packed == payload.packed
+            assert received.payload.codec == payload.codec
         finally:
             thread.join()
             server.close()
