@@ -28,9 +28,9 @@ eligibility question answered by
 ``"scoped-loads"`` with a static pair mask, or ``"none"`` to opt out)
 plus the checker parameters: only ``choice_mode='all'``, the
 stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and an
-int-form codec (whole frontiers must fit ``int64`` lanes) with a
-bounded ``max_value``. Everything else — bytes-form codecs included —
-runs on the tuple executor, the single reference oracle.
+int-form codec (whole frontiers must fit ``int64`` lanes). Everything
+else — bytes-form codecs included — runs on the tuple executor, the
+single reference oracle.
 
 The ``REPRO_KERNEL`` environment variable selects the path: ``off``
 (tuple executor everywhere) or the default ``numpy``.
@@ -49,7 +49,7 @@ from repro.core.cpu import CoreSnapshot
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.core.task import NICE_0_WEIGHT
-from repro.verify.encoding import PackedState, StateCodec
+from repro.verify.encoding import StateCodec
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 #: Environment toggle for the kernel tier.
@@ -57,13 +57,6 @@ KERNEL_ENV = "REPRO_KERNEL"
 
 #: Accepted values of :data:`KERNEL_ENV`.
 KERNEL_MODES = ("off", "numpy")
-
-#: Largest codec ``max_value`` the kernel builds tables for. Tables hold
-#: ``4 * (max_value + 1)^2`` cells, each probed with a policy call, so a
-#: wide-valued closure (a handful of states with a huge total) would
-#: spend more time and memory on tables than on exploration; such codecs
-#: take the tuple executor.
-KERNEL_MAX_VALUE = 255
 
 
 def kernel_mode() -> str:
@@ -147,14 +140,12 @@ def build_kernel(policy: Policy, codec: StateCodec,
 
     Eligibility: ``REPRO_KERNEL`` not ``off``; an int-form codec (the
     kernel holds whole frontiers in ``int64`` lanes, so bytes-form
-    codecs take the tuple executor) with ``max_value`` at most
-    :data:`KERNEL_MAX_VALUE`; ``choice_mode='all'`` (policy mode
+    codecs take the tuple executor); ``choice_mode='all'`` (policy mode
     consults ``choose``, which tables cannot capture);
     ``max_orders >= 1``; and the policy declares a table-compatible
     :attr:`~repro.core.policy.Policy.filter_invariance`.
     """
-    if kernel_mode() == "off" or not codec.use_int \
-            or codec.max_value > KERNEL_MAX_VALUE:
+    if kernel_mode() == "off" or not codec.use_int:
         return None
     if choice_mode != "all" or max_orders < 1:
         return None

@@ -186,39 +186,30 @@ class TestEligibilityGates:
         assert build_kernel(OpaquePolicy(), codec) is None
 
 
-class TestWideCodecs:
-    """Codecs the kernel declines: the closure runs on the tuple oracle.
+class TestBytesFormCodec:
+    """A codec the kernel declines: the closure runs on the tuple oracle.
 
     Two cores at 41 bits overflow the 63-bit int form, so the codec
     packs to bytes and the closure runs through the set-based BFS loops
     of ``explore`` and ``bfs_closure`` — the only tests of those loops.
-    At 21 bits the int form fits, but ``(max_value + 1)^2`` probe tables
-    would not fit in memory.
     """
 
-    WIDE = pytest.mark.parametrize("bits", [41, 21],
-                                   ids=["bytes-form", "wide-int-form"])
+    INITIAL = [(0, 1 << 40), (3, 5)]
 
-    @staticmethod
-    def initial(bits):
-        return [(0, 1 << (bits - 1)), (3, 5)]
-
-    @WIDE
-    def test_kernel_declines(self, bits, monkeypatch):
+    def test_kernel_declines(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        codec = StateCodec.for_states(2, self.initial(bits))
-        assert codec.use_int == (bits < 32)
+        codec = StateCodec.for_states(2, self.INITIAL)
+        assert not codec.use_int
         assert build_kernel(GreedyHalvingPolicy(), codec) is None
 
-    @WIDE
-    def test_serial_and_sharded_closures_agree(self, bits):
+    def test_serial_and_sharded_closures_agree(self):
         from repro.verify.model_checker import ModelChecker
         from repro.verify.parallel import bfs_closure
 
         graph, truncated = ModelChecker(GreedyHalvingPolicy()).explore(
-            self.initial(bits)
+            self.INITIAL
         )
-        half = 1 << (bits - 2)
+        half = 1 << 39
         assert graph == {
             (0, 2 * half): frozenset({(half, half)}),
             (half, half): frozenset({(half, half)}),
@@ -235,8 +226,7 @@ class TestWideCodecs:
             return [shard.expand_packed(chunk, codec, sequential)
                     for shard, chunk in zip(shards, chunks)]
 
-        sharded = bfs_closure(map_expand, 2, self.initial(bits),
-                              symmetric=False)
+        sharded = bfs_closure(map_expand, 2, self.INITIAL, symmetric=False)
         assert sharded == (graph, truncated)
 
 
