@@ -1499,12 +1499,16 @@ class AsyncPartitionExplorer:
             self._route(initial_packed)
         self.coordinator.add_membership_listener(self._on_worker_added)
         try:
-            self._threads = [
+            initial = [
                 threading.Thread(target=self._dispatch, args=(client,),
                                  daemon=True)
                 for client in clients
             ]
-            for thread in self._threads:
+            # A late joiner appends (and starts) its own thread while
+            # these start, so start from a snapshot of the list.
+            with self._cond:
+                self._threads = list(initial)
+            for thread in initial:
                 thread.start()
             while True:
                 with self._cond:

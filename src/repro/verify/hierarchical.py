@@ -819,7 +819,7 @@ class HierarchicalModelChecker(ModelChecker):
         if missing:
             # One kernel batch and one canonicalisation call for every
             # mid state the chunk needs.
-            values, counts, intra_flags = kernel.expand_batch_arrays(
+            values, counts, intra_flags, _ = kernel.expand_batch_arrays(
                 codec.pack_array(np.asarray(missing, dtype=np.int64))
             )
             flat = self.symmetry.canonicalize_batch(values, codec).tolist()

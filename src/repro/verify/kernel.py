@@ -12,25 +12,46 @@ so ``can_steal``/``steal_amount`` over live views factor through a
 codec from the *real* policy.
 
 :class:`TransitionKernel` exploits that factoring to expand a whole
-frontier at once in numpy: intent masks for every state via one
-advanced-indexing probe, zero- and single-thief states handled
-directly, and every state with ``k >= 2`` racing thieves expanded
-through lanes over its victim combinations (a per-state mixed-radix
-decomposition) with each permutation of the ``k`` thieves executed as
-``k`` sequential table-indexed array steals. No state falls back to
-per-state Python; the array form
-(:meth:`TransitionKernel.expand_batch_arrays`) feeds the engines' array
-pipeline without materialising per-state lists.
+frontier at once in numpy. One advanced-indexing probe gives every
+state's intent mask; states are then grouped by their number ``k`` of
+racing thieves, and each group runs one dynamic programme over the
+*steal-order DAG* (:func:`_order_dag`), with no per-state Python:
+
+* **The DAG.** The tuple executor enumerates the first ``max_orders``
+  permutations of the ``k`` thieves. As a prefix tree, a node's *suffix
+  class* is the set of order suffixes still below it. Nodes with equal
+  classes have equal futures, so the DAG keeps one node per class:
+  without truncation a class is the set of thieves still to steal
+  (``C(k, d)`` classes at depth ``d``), and a cap adds at most one
+  partial class per depth.
+* **Rows.** A row is ``(state, suffix class, live ready vector)``,
+  held as 1-D ``int64`` arrays with the ready vector packed. Each depth
+  expands every row along its class's out-edges and, per edge, along
+  that thief's victims, applies the table-driven steal, and keeps one
+  row per key with one sort of a packed ``int64`` key.
+* **Why merging is exact.** A thief's victim set is fixed by the
+  round-start snapshot, running bits never change within a round, and a
+  steal reads only ``(running, ready)``; so rows with equal keys reach
+  identical leaf sets. The leaf universe and the truncation flag are the
+  tuple executor's.
+* **The cap.** No depth materialises more than
+  :attr:`TransitionKernel._ROW_CAP` rows before dedup, and no key
+  overflows ``int64``: larger groups run in state slices (one state is
+  never split).
+
+:meth:`TransitionKernel.expand_batch_arrays` returns each state's
+successors duplicate-free and ascending, as flat arrays that feed the
+engines' array pipeline without per-state lists.
 
 Whether a kernel may stand in for the tuple executor at all is an
 eligibility question answered by
 :attr:`~repro.core.policy.Policy.filter_invariance` (``"loads"``,
 ``"scoped-loads"`` with a static pair mask, or ``"none"`` to opt out)
 plus the checker parameters: only ``choice_mode='all'``, the
-stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and an
-int-form codec (whole frontiers must fit ``int64`` lanes). Everything
-else — bytes-form codecs included — runs on the tuple executor, the
-single reference oracle.
+stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and a
+codec whose dedup keys fit ``int64`` lanes (:func:`key_bits`).
+Everything else — bytes-form codecs included — runs on the tuple
+executor, the single reference oracle.
 
 The ``REPRO_KERNEL`` environment variable selects the path: ``off``
 (tuple executor everywhere) or the default ``numpy``.
@@ -49,7 +70,7 @@ from repro.core.cpu import CoreSnapshot
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.core.task import NICE_0_WEIGHT
-from repro.verify.encoding import StateCodec
+from repro.verify.encoding import INT_FORM_MAX_BITS, StateCodec
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 #: Environment toggle for the kernel tier.
@@ -70,43 +91,53 @@ def kernel_mode() -> str:
     return mode
 
 
-#: Prefix trees of capped thief permutations, keyed ``(k, n_orders)``.
-_PERM_TREES: dict[tuple[int, int], tuple[list[list[int]], list[list[int]]]] \
-    = {}
+#: Steal-order DAGs of capped thief permutations, keyed ``(k, n_orders)``.
+_ORDER_DAGS: dict[tuple[int, int], list[tuple[Any, Any, Any]]] = {}
 
 
-def _perm_tree(k: int,
-               n_orders: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Shared-prefix tree of the first ``n_orders`` thief permutations.
+def _order_dag(k: int, n_orders: int) -> list[tuple[Any, Any, Any]]:
+    """Suffix-class DAG of the first ``n_orders`` thief permutations.
 
-    Two steal orders that agree on their first ``d`` steals produce the
-    same intermediate state, so the k-thief executor walks the orders
-    as a tree instead of replaying each full permutation: depth ``d``
-    holds one node per distinct length-``d+1`` prefix. Returns
-    ``(parents, cols)`` — per depth, ``cols[d][j]`` is the thief column
-    node ``j`` steals with and ``parents[d][j]`` the index of its
-    prefix's node at depth ``d - 1`` (zeros at depth 0, where the
-    parent is the shared root state). Leaves at depth ``k - 1``
-    enumerate ``itertools.permutations(range(k))`` order, truncated to
-    ``n_orders`` — exactly the tuple executor's universe.
+    The steal-order DAG of the module docstring: one node per distinct
+    suffix class of ``itertools.permutations(range(k))`` truncated to
+    ``n_orders``, the tuple executor's order universe.
+
+    Returns one ``(offsets, cols, dsts)`` CSR triple per depth
+    ``d < k``: class ``c`` at depth ``d`` owns edges
+    ``offsets[c]:offsets[c + 1]``, and edge ``e`` steals with thief
+    column ``cols[e]`` and leads to class ``dsts[e]`` at depth ``d + 1``.
+    Edges leave each class in ascending column order, so a depth-first
+    walk of the paths lists the universe in ``itertools`` order. Depth
+    0 holds the root class alone and depth ``k`` the empty suffix alone.
     """
-    cached = _PERM_TREES.get((k, n_orders))
+    cached = _ORDER_DAGS.get((k, n_orders))
     if cached is not None:
         return cached
-    perms = itertools.islice(itertools.permutations(range(k)), n_orders)
-    index: dict[tuple[int, ...], int] = {(): 0}
-    parents: list[list[int]] = [[] for _ in range(k)]
-    cols: list[list[int]] = [[] for _ in range(k)]
-    for perm in perms:
-        for depth in range(k):
-            prefix = perm[:depth + 1]
-            if prefix in index:
-                continue
-            index[prefix] = len(cols[depth])
-            parents[depth].append(index[prefix[:-1]])
-            cols[depth].append(perm[depth])
-    _PERM_TREES[(k, n_orders)] = (parents, cols)
-    return parents, cols
+    level = [frozenset(itertools.islice(
+        itertools.permutations(range(k)), n_orders
+    ))]
+    dag = []
+    for _ in range(k):
+        index: dict[frozenset[tuple[int, ...]], int] = {}
+        offsets = [0]
+        cols: list[int] = []
+        dsts: list[int] = []
+        for cls in level:
+            by_first: dict[int, set[tuple[int, ...]]] = {}
+            for suffix in cls:
+                by_first.setdefault(suffix[0], set()).add(suffix[1:])
+            for col in sorted(by_first):
+                cols.append(col)
+                dsts.append(index.setdefault(
+                    frozenset(by_first[col]), len(index)
+                ))
+            offsets.append(len(cols))
+        dag.append((np.asarray(offsets, dtype=np.int64),
+                    np.asarray(cols, dtype=np.int64),
+                    np.asarray(dsts, dtype=np.int64)))
+        level = list(index)
+    _ORDER_DAGS[(k, n_orders)] = dag
+    return dag
 
 
 def pair_mask_for(policy: Policy, n_cores: int) -> list[list[bool]] | None:
@@ -132,22 +163,40 @@ def pair_mask_for(policy: Policy, n_cores: int) -> list[list[bool]] | None:
     ]
 
 
+def key_bits(codec: StateCodec, max_orders: int) -> int:
+    """Bits of the widest dedup key the steal walk packs for ``codec``.
+
+    A key holds a packed ready vector (``n_cores * bits``) and an order
+    class index. The widest depth of the ``n_cores``-thief DAG has
+    ``C(n, n // 2)`` classes (sets of thieves still to steal), plus one
+    partial class when ``max_orders`` truncates the order universe;
+    fewer thieves never need more. State bits are not counted: the walk
+    slices states until they fit.
+    """
+    n = codec.n_cores
+    classes = math.comb(n, n // 2)
+    if math.factorial(n) > max_orders:
+        classes = min(classes + 1, max_orders)
+    return n * codec.bits + (classes - 1).bit_length()
+
+
 def build_kernel(policy: Policy, codec: StateCodec,
                  choice_mode: str = "all",
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  n_cores: int | None = None) -> "TransitionKernel | None":
     """A kernel for ``(policy, codec)``, or ``None`` when ineligible.
 
-    Eligibility: ``REPRO_KERNEL`` not ``off``; an int-form codec (the
-    kernel holds whole frontiers in ``int64`` lanes, so bytes-form
-    codecs take the tuple executor); ``choice_mode='all'`` (policy mode
-    consults ``choose``, which tables cannot capture);
-    ``max_orders >= 1``; and the policy declares a table-compatible
+    Eligibility: ``REPRO_KERNEL`` not ``off``; ``choice_mode='all'``
+    (policy mode consults ``choose``, which tables cannot capture);
+    ``max_orders >= 1``; a codec whose steal-walk dedup key fits one
+    ``int64`` (:func:`key_bits` — bytes-form codecs, and int-form ones
+    within a few bits of the limit, take the tuple executor); and the
+    policy declares a table-compatible
     :attr:`~repro.core.policy.Policy.filter_invariance`.
     """
-    if kernel_mode() == "off" or not codec.use_int:
+    if kernel_mode() == "off" or choice_mode != "all" or max_orders < 1:
         return None
-    if choice_mode != "all" or max_orders < 1:
+    if key_bits(codec, max_orders) > INT_FORM_MAX_BITS:
         return None
     invariance = getattr(policy, "filter_invariance", "none")
     if invariance not in ("loads", "scoped-loads"):
@@ -166,8 +215,9 @@ class TransitionKernel:
     Built once per ``(policy, codec)`` and cached by the checker; the
     construction probes the real policy over the full
     ``(running, ready)`` grid (bounded by the codec's conserved total),
-    after which no policy code runs during exploration. The codec must
-    be int-form (see :func:`build_kernel`).
+    after which no policy code runs during exploration. The codec's
+    dedup keys must fit ``int64`` (:func:`key_bits`), else construction
+    raises :class:`~repro.core.errors.VerificationError`.
 
     Attributes:
         policy: the policy the tables were probed from.
@@ -178,6 +228,11 @@ class TransitionKernel:
     def __init__(self, policy: Policy, codec: StateCodec,
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  pair_mask: Sequence[Sequence[bool]] | None = None) -> None:
+        if key_bits(codec, max_orders) > INT_FORM_MAX_BITS:
+            raise VerificationError(
+                f"codec {codec.describe()} is too wide for the kernel's"
+                " int64 dedup keys"
+            )
         self.policy = policy
         self.codec = codec
         self.max_orders = max_orders
@@ -187,6 +242,15 @@ class TransitionKernel:
         )
         self._build_tables()
         self._eye = np.eye(codec.n_cores, dtype=bool)
+        # Per-core digit weights and shifts of the packed form: the
+        # steal walk reads and moves digits in place on packed rows.
+        self._weights = codec.pack_array(
+            np.eye(codec.n_cores, dtype=np.int64)
+        )
+        self._shifts = np.asarray(
+            [int(w).bit_length() - 1 for w in self._weights], dtype=np.int64
+        )
+        self._digit = (1 << codec.bits) - 1
 
     # -- table construction ---------------------------------------------
 
@@ -257,31 +321,36 @@ class TransitionKernel:
                                 can_row[qv] = True
                                 amt_row[qv] = steal_amount(thief, victim)
         self._can = np.asarray(can, dtype=bool)
-        self._amt = np.asarray(amt, dtype=np.int64)
         # Merged executor table: the live re-check (`can` else skip)
-        # and the clamp source collapse into one lookup, because a
-        # filtered pair and a non-positive amount both execute as
+        # and the clamp's lower bound collapse into one lookup, because
+        # a filtered pair and a non-positive amount both execute as
         # "nothing moves". Intent construction still reads `can` — an
         # admissible pair with amount <= 0 must create a (no-op) branch.
-        self._step = np.where(self._can, self._amt, 0)
+        self._step = np.where(
+            self._can, np.maximum(np.asarray(amt, dtype=np.int64), 0), 0
+        )
 
     # -- batch expansion --------------------------------------------------
 
-    #: Peak rows (state x victim-combination x permutation) materialised
-    #: at once by the k-thief expansion; larger groups run in slices.
+    #: Peak rows (state x order class x ready vector) one depth of the
+    #: steal-order walk materialises before dedup; larger groups run
+    #: in state slices.
     _ROW_CAP = 1 << 17
 
-    def expand_batch_arrays(self, packed: Any) -> tuple[Any, Any, Any]:
-        """Array-native raw expansion of an ``int64`` frontier chunk.
+    def expand_batch_arrays(self, packed: Any) -> tuple[Any, Any, Any, int]:
+        """Array-native expansion of an ``int64`` frontier chunk.
 
         The kernel's native surface: takes a packed ``int64`` array
-        and returns ``(values, counts, truncated)`` arrays — state ``i``
-        owns the run of ``counts[i]`` successors inside ``values``
-        (input order, duplicates possible; callers canonicalise and
-        dedup), and ``truncated[i]`` flags a capped permutation
-        enumeration. Zero-thief states self-loop, single-thief states
-        execute one clamped steal, and every ``k >= 2`` group runs the
-        general mixed-radix lane expansion — no per-state Python.
+        and returns ``(values, counts, truncated, rows)``. State ``i``
+        owns the run of ``counts[i]`` successors inside ``values`` —
+        duplicate-free and ascending — and ``truncated[i]`` flags a
+        capped permutation enumeration. ``rows`` counts the rows the
+        steal-order walk materialised before dedup, summed over depths
+        and the root's one row per state included (the kernel's work,
+        for tracing). States are grouped by thief
+        count ``k`` and every group, zero and single thieves included,
+        runs the same walk (:meth:`_expand_multi`) — no per-state
+        Python.
         """
         n_states = len(packed)
         if n_states == 0:
@@ -289,6 +358,7 @@ class TransitionKernel:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=bool),
+                0,
             )
         # Decode the whole chunk: loads[s, cid].
         loads = self.codec.unpack_array(packed)
@@ -307,73 +377,64 @@ class TransitionKernel:
         truncated = np.zeros(n_states, dtype=bool)
         piece_idx: list[Any] = []
         piece_vals: list[Any] = []
-
-        zero = np.nonzero(thief_counts == 0)[0]
-        if zero.size:
-            piece_idx.append(zero)
-            piece_vals.append(packed[zero])
-
-        single = np.nonzero(thief_counts == 1)[0]
-        if single.size:
-            s_local, t_idx, v_idx = np.nonzero(intents[single])
-            s_glob = single[s_local]
-            rt = running[s_glob, t_idx]
-            rv = running[s_glob, v_idx]
-            qt = ready[s_glob, t_idx]
-            qv = ready[s_glob, v_idx]
-            # One thief: the re-check runs on unmutated state and passes
-            # by construction; only the clamp matters.
-            moved = np.minimum(self._amt[rt, rv, qt, qv], qv)
-            np.clip(moved, 0, None, out=moved)
-            new_loads = loads[s_glob].copy()
-            rows = np.arange(len(s_glob))
-            new_loads[rows, t_idx] += moved
-            new_loads[rows, v_idx] -= moved
-            piece_idx.append(s_glob)
-            piece_vals.append(self.codec.pack_array(new_loads))
-
-        for k in np.unique(thief_counts[thief_counts >= 2]).tolist():
+        rows = 0
+        for k in np.unique(thief_counts).tolist():
             group = np.nonzero(thief_counts == k)[0]
-            k_idx, k_vals, k_trunc = self._expand_multi(
+            k_idx, k_vals, k_trunc, k_rows = self._expand_multi(
                 int(k), group, intents, running, ready
             )
             piece_idx.append(k_idx)
             piece_vals.append(k_vals)
             truncated[group] = k_trunc
+            rows += k_rows
 
         all_idx = np.concatenate(piece_idx)
         all_vals = np.concatenate(piece_vals)
-        # Stable sort groups each state's successors into one contiguous
-        # run, in input order — the flat layout the array pipeline eats.
+        # Each group's walk yields its states' runs duplicate-free,
+        # ascending, and in state order; a stable sort by state
+        # interleaves the groups back into input order.
         order = np.argsort(all_idx, kind="stable")
         counts = np.bincount(all_idx, minlength=n_states)
-        return all_vals[order], counts, truncated
+        return all_vals[order], counts, truncated, rows
 
     def _expand_multi(self, k: int, group: Any, intents: Any,
                       running: Any,
-                      ready: Any) -> tuple[Any, Any, bool]:
-        """Vectorised expansion of states with exactly ``k >= 2`` thieves.
+                      ready: Any) -> tuple[Any, Any, bool, int]:
+        """Expansion of states with exactly ``k`` racing thieves.
 
-        Lanes run over state x victim combination: each thief's victim
-        set forms one digit of a per-state mixed-radix number (last
-        thief varies fastest, matching ``itertools.product``), so a
-        combination index decodes to one victim per thief with two
-        integer ops per digit. The permutations of the ``k`` thieves —
-        ascending per state, exactly the tuple executor's permutation
-        universe, capped at ``max_orders`` with the same truncation
-        flag — execute as a shared-prefix tree (:func:`_perm_tree`):
-        orders agreeing on their first ``d`` steals share one array row
-        until depth ``d``, so the work is ``sum_d k!/(k-d)!`` steals
-        per lane instead of ``k! * k``. Steals use flattened 1-D table
-        gathers, and loads are never materialised in the loop — steals
-        move only ready tasks, so ``loads = ready + running`` is
-        reconstructed at the leaves. Commuting orders produce
-        duplicate packed values, which callers dedup. State
-        slices cap the leaf rows materialised at once at
-        :data:`_ROW_CAP`.
+        A round's leaves are every capped steal order of the ``k``
+        thieves crossed with every victim combination. Instead of
+        replaying that product, this walks the steal-order DAG
+        (:func:`_order_dag`) depth by depth, one row per
+        ``(state, suffix class, live ready vector)``. Each depth
+        expands every row along its class's out-edges and, per edge,
+        along that thief's victims; applies the steal by table lookup;
+        and keeps one row per key by sorting the packed key
+        ``(state, class, ready)``. Victims are chosen at steal time,
+        which enumerates the same combinations as choosing them up
+        front: thief ``j``'s victim is read only by thief ``j``'s steal.
 
-        Returns ``(state_indices, packed_values, truncated)`` where the
-        index array maps each produced value back to its source state.
+        Merging equal keys is exact. A thief's victim set is fixed by
+        the round-start snapshot, running bits never change within a
+        round, and a steal reads only ``(running, ready)`` of its two
+        cores; so two rows with equal keys reach identical leaf sets.
+        The DAG's paths are exactly the first ``max_orders``
+        permutations, so the leaf universe and the truncation flag are
+        the tuple executor's. Steals move only ready tasks, so packed
+        loads are packed ready plus packed running at the leaves.
+
+        The cap: rows stay sorted by state, and a depth whose expansion
+        would exceed :data:`_ROW_CAP` rows before dedup, or whose key
+        would overflow ``int64`` (the class and ready fields leave
+        ``63 - key width`` bits for the state), splits its states into
+        slices. A single state is never split. Slices run lowest state
+        first, so each state's leaves come out together, ascending.
+
+        Returns ``(state_indices, packed_values, truncated, rows)``:
+        each state's successors, duplicate-free and ascending, mapped
+        back to their source state, in state order; plus the rows
+        materialised before dedup, summed over depths, the root's one
+        row per state included.
         """
         n = self.codec.n_cores
         m = len(group)
@@ -381,97 +442,114 @@ class TransitionKernel:
         # Exactly k thief rows per state, ascending within each row.
         _, tcol = np.nonzero(sub.any(axis=2))
         thieves = tcol.reshape(m, k)
-        rows = np.arange(m)
-        # Per-thief ragged victim lists (CSR-style) and radix counts.
-        vic_vals: list[Any] = []
-        offs: list[Any] = []
-        counts = np.empty((m, k), dtype=np.int64)
-        for j in range(k):
-            rj, vj = np.nonzero(sub[rows, thieves[:, j]])
-            cj = np.bincount(rj, minlength=m)
-            counts[:, j] = cj
-            offs.append(np.concatenate(([0], np.cumsum(cj)[:-1])))
-            vic_vals.append(vj)
-        strides = np.empty((m, k), dtype=np.int64)
-        strides[:, k - 1] = 1
-        for j in range(k - 2, -1, -1):
-            strides[:, j] = strides[:, j + 1] * counts[:, j + 1]
-        # Every state has >= 1 lane: each thief admits >= 1 victim.
-        lanes_per = strides[:, 0] * counts[:, 0]
+        # Victims of thief column j in state s, ascending and padded:
+        # vic[s, j, i] for i < n_vic[s, j]; flattened for 1-D gathers.
+        admits = sub[np.arange(m)[:, None], thieves]
+        n_vic = admits.sum(axis=2).reshape(-1)
+        vic = np.argsort(~admits, axis=2, kind="stable").reshape(-1)
+        thief_f = thieves.reshape(-1)
+        run_f = running[group].reshape(-1)
+        packed_running = self.codec.pack_array(running[group])
         n_orders = math.factorial(k)
         truncated = n_orders > self.max_orders
-        n_orders = min(n_orders, self.max_orders)
-        tree_parents, tree_cols = _perm_tree(k, n_orders)
-        rows_per = lanes_per * n_orders
-        cum = np.cumsum(rows_per)
+        dag = _order_dag(k, min(n_orders, self.max_orders))
+        shifts, weights, digit = self._shifts, self._weights, self._digit
+        r_bits = n * self.codec.bits
+        r_mask = (1 << r_bits) - 1
         # Flat strides of the 4-D step table for 1-D gathers below.
         dim_b, dim_c, dim_d = self._step.shape[1:]
         step_flat = self._step.reshape(-1)
 
-        piece_idx: list[Any] = []
-        piece_vals: list[Any] = []
-        start = 0
-        while start < m:
-            before = 0 if start == 0 else int(cum[start - 1])
-            stop = int(np.searchsorted(
-                cum, before + self._ROW_CAP, side="right"
-            ))
-            stop = min(max(stop, start + 1), m)
-            lp = lanes_per[start:stop]
-            n_lanes = int(lp.sum())
-            lane_state = np.repeat(np.arange(start, stop), lp)
-            local_starts = np.concatenate(([0], np.cumsum(lp)[:-1]))
-            pos = np.arange(n_lanes) - np.repeat(local_starts, lp)
-            victims = np.empty((n_lanes, k), dtype=np.int64)
-            for j in range(k):
-                digit = (pos // strides[lane_state, j]) \
-                    % counts[lane_state, j]
-                victims[:, j] = vic_vals[j][offs[j][lane_state] + digit]
-            th = thieves[lane_state]
-            glob_l = group[lane_state]
-            run_l = running[glob_l]
-            run_f = run_l.reshape(-1)
-            lane_off = np.arange(n_lanes) * n
-            # Walk the prefix tree: at depth d, ``rdy`` holds one row
-            # per (node, lane) in node-major blocks; expanding to
-            # depth d+1 gathers each node's parent block and applies
-            # that node's single steal over all lanes at once.
-            rdy = ready[glob_l][None]
-            for parents, node_cols in zip(tree_parents, tree_cols):
-                rdy = rdy[parents]
-                n_nodes = len(parents)
-                total = n_nodes * n_lanes
-                # Thief/victim core ids per row (node-major layout).
-                t = th[:, node_cols].T.reshape(-1)
-                v = victims[:, node_cols].T.reshape(-1)
-                rdy_f = rdy.reshape(-1)
-                base = np.arange(total) * n
-                lane_n = np.tile(lane_off, n_nodes)
-                tf = base + t
-                vf = base + v
-                qv = rdy_f[vf]
-                # Merged re-check + clamp (see ``_step``): filtered
-                # pairs and non-positive amounts both move nothing.
-                # Running counts never change — steals move ready
-                # tasks — so the run gathers index the lane-level
-                # snapshot.
-                idx = (run_f[lane_n + t] * dim_b
-                       + run_f[lane_n + v]) * dim_c
-                idx += rdy_f[tf]
-                idx *= dim_d
-                idx += qv
-                moved = np.minimum(step_flat[idx], qv)
-                np.clip(moved, 0, None, out=moved)
-                rdy_f[vf] = qv - moved
-                rdy_f[tf] += moved
-            # Leaves enumerate the capped orders; loads = ready+running.
-            piece_idx.append(np.tile(glob_l, n_orders))
-            piece_vals.append(
-                self.codec.pack_array((rdy + run_l).reshape(-1, n))
-            )
-            start = stop
+        leaf_state: list[Any] = []
+        leaf_ready: list[Any] = []
+        rows = m  # the root depth: one row per state
+        stack = [(0, np.arange(m), np.zeros(m, dtype=np.int64),
+                  self.codec.pack_array(ready[group]))]
+        while stack:
+            depth, st, cls, rdy = stack.pop()
+            if depth == k:
+                leaf_state.append(st)
+                leaf_ready.append(rdy)
+                continue
+            offsets, cols, dsts = dag[depth]
+            # Dedup key: (state - st[0], class, packed ready) in one
+            # int64, so the class and ready fields bound the states a
+            # slice may span.
+            c_bits = int(dsts.max()).bit_length()
+            max_states = 1 << (INT_FORM_MAX_BITS - c_bits - r_bits)
+            # Rows x out-edges of their class.
+            first = offsets[cls]
+            deg = offsets[cls + 1] - first
+            row_e = np.repeat(np.arange(len(st)), deg)
+            ends = np.cumsum(deg)
+            edge = np.arange(len(row_e)) + np.repeat(first - ends + deg, deg)
+            tj = st[row_e] * k + cols[edge]
+            fan = n_vic[tj]
+            cum = np.cumsum(fan)
+            total = int(cum[-1])
+            span = int(st[-1] - st[0]) + 1
+            if span > 1 and (total > self._ROW_CAP or span > max_states):
+                # Slice at state boundaries: keys include the state, so
+                # each slice dedups on its own.
+                cuts = np.flatnonzero(st[1:] != st[:-1]) + 1
+                state_end = np.append(cuts, len(st))
+                cum_end = cum[ends[state_end - 1] - 1]
+                slices = []
+                lo = 0
+                while lo < len(state_end):
+                    before = int(cum_end[lo - 1]) if lo else 0
+                    hi = int(np.searchsorted(
+                        cum_end, before + self._ROW_CAP, side="right"
+                    ))
+                    hi = min(max(hi, lo + 1), lo + max_states,
+                             len(state_end))
+                    a = int(state_end[lo - 1]) if lo else 0
+                    b = int(state_end[hi - 1])
+                    slices.append((depth, st[a:b], cls[a:b], rdy[a:b]))
+                    lo = hi
+                # Lowest states on top: leaves come out in state order.
+                stack.extend(reversed(slices))
+                continue
+            rows += total
+            # Out-edges x victims of the edge's thief.
+            edge_v = np.repeat(np.arange(len(row_e)), fan)
+            pos = np.arange(total) - np.repeat(cum - fan, fan)
+            tj = tj[edge_v]
+            src = row_e[edge_v]
+            s = st[src]
+            t = thief_f[tj]
+            v = vic[tj * n + pos]
+            r = rdy[src]
+            qt = (r >> shifts[t]) & digit
+            qv = (r >> shifts[v]) & digit
+            # Merged re-check + clamp (see ``_step``): filtered pairs
+            # and non-positive amounts move nothing, and no steal moves
+            # more than the victim's ready count.
+            idx = (run_f[s * n + t] * dim_b + run_f[s * n + v]) * dim_c
+            idx += qt
+            idx *= dim_d
+            idx += qv
+            moved = np.minimum(step_flat[idx], qv)
+            r += moved * (weights[t] - weights[v])
+            # One row per (state, class, ready): sort the packed keys
+            # and keep first occurrences.
+            s0 = st[0]
+            key = (s - s0) << c_bits
+            key |= dsts[edge[edge_v]]
+            key <<= r_bits
+            key |= r
+            key.sort()
+            keep = np.empty(total, dtype=bool)
+            keep[0] = True
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            key = key[keep]
+            high = key >> r_bits
+            stack.append((depth + 1, s0 + (high >> c_bits),
+                          high & ((1 << c_bits) - 1), key & r_mask))
+        st = np.concatenate(leaf_state)
         return (
-            np.concatenate(piece_idx),
-            np.concatenate(piece_vals),
+            group[st],
+            np.concatenate(leaf_ready) + packed_running[st],
             truncated,
+            rows,
         )

@@ -357,44 +357,36 @@ class ModelChecker:
             return out, None
         # Kernel path: expansion, canonicalisation, and per-state
         # dedup all stay in int64 arrays; Python objects materialise
-        # only at the memo boundary below (one bulk tolist).
-
-        def dedup(values: Any, owner: Any) -> tuple[Any, Any]:
-            order = np.lexsort((values, owner))
-            values = values[order]
-            owner = owner[order]
-            keep = np.empty(len(values), dtype=bool)
-            keep[0] = True
-            keep[1:] = (owner[1:] != owner[:-1]) \
-                | (values[1:] != values[:-1])
-            return values[keep], owner[keep]
-
+        # only at the memo boundary below (one bulk tolist). The kernel
+        # already returns duplicate-free runs; only canonicalisation
+        # can merge successors again.
         with TRACER.span("checker.kernel", "checker", tier="numpy",
                          states=len(packed_states)) as kernel_span:
-            values, counts, trunc_flags = kernel.expand_batch_arrays(
+            values, counts, trunc_flags, rows = kernel.expand_batch_arrays(
                 np.asarray(packed_states, dtype=np.int64)
             )
-            kernel_span.set(values=int(values.size))
-        owner = np.repeat(np.arange(len(packed_states)), counts)
-        # Dedup raw values first: commuting steal orders produce many
-        # duplicate packed states, and canonicalising them before
-        # collapsing would pay the (comparatively pricey) per-element
-        # canonicalisation for each copy.
-        with TRACER.span("checker.dedup", "checker",
-                         values=int(values.size)):
-            values, owner = dedup(values, owner)
+            kernel_span.set(values=int(values.size), rows=rows)
         if not group.is_trivial:
+            owner = np.repeat(np.arange(len(packed_states)), counts)
             with TRACER.span("checker.canonicalise", "checker",
                              tier="numpy", values=int(values.size)):
                 values = group.canonicalize_batch(values, codec)
             with TRACER.span("checker.dedup", "checker",
                              values=int(values.size)):
-                values, owner = dedup(values, owner)
-        dedup_counts = np.bincount(owner, minlength=len(packed_states))
+                order = np.lexsort((values, owner))
+                values = values[order]
+                owner = owner[order]
+                keep = np.empty(len(values), dtype=bool)
+                keep[0] = True
+                keep[1:] = (owner[1:] != owner[:-1]) \
+                    | (values[1:] != values[:-1])
+                values = values[keep]
+                counts = np.bincount(owner[keep],
+                                     minlength=len(packed_states))
         flat_list = values.tolist()
         entries = []
         cursor = 0
-        for count, truncated in zip(dedup_counts.tolist(),
+        for count, truncated in zip(counts.tolist(),
                                     trunc_flags.tolist()):
             entries.append((
                 frozenset(flat_list[cursor:cursor + count]), truncated
@@ -776,24 +768,40 @@ def longest_bad_escape(edges: dict[LoadState, frozenset[LoadState]],
     ``1 + max(escape(successor))`` — the adversary picks the successor.
     The maximum over all bad states is the paper's ``N``. Assumes the bad
     subgraph is acyclic (call only after lasso detection found nothing).
+
+    Iterative: a post-order over an explicit stack fixes a bad state's
+    escape once all its bad successors have theirs, so the longest bad
+    chain costs stack entries, not Python frames.
+
+    Raises:
+        VerificationError: the bad subgraph has a cycle.
     """
-    memo: dict[LoadState, int] = {}
-
-    def escape(state: LoadState) -> int:
-        if state not in bad:
-            return 0
-        if state in memo:
-            return memo[state]
-        memo[state] = 1 + max(
-            (escape(succ) for succ in edges.get(state, frozenset())),
-            default=0,
-        )
-        return memo[state]
-
+    escape: dict[LoadState, int] = {}
     worst = 0
-    # Iterative-friendly: process in reverse topological-ish order by
-    # repeatedly calling escape; recursion depth is bounded by the longest
-    # bad chain, which is small at verification scopes.
-    for state in sorted(bad):
-        worst = max(worst, escape(state))
+    for root in sorted(bad):
+        if root not in escape:
+            active = {root}
+            stack = [(root, iter(edges.get(root, frozenset())))]
+            while stack:
+                state, children = stack[-1]
+                for child in children:
+                    if child in bad and child not in escape:
+                        if child in active:
+                            raise VerificationError(
+                                "bad region has a cycle; no escape bound"
+                            )
+                        active.add(child)
+                        stack.append(
+                            (child, iter(edges.get(child, frozenset())))
+                        )
+                        break
+                else:
+                    stack.pop()
+                    active.discard(state)
+                    escape[state] = 1 + max(
+                        (escape.get(succ, 0)
+                         for succ in edges.get(state, frozenset())),
+                        default=0,
+                    )
+        worst = max(worst, escape[root])
     return worst

@@ -7,6 +7,9 @@ produce identical verdicts — restated at the API layer: one
 *equal* once timings (the only engine-dependent content) are normalized
 away. The distributed engine runs over in-process transports here, so
 every frame still round-trips the wire encoding without socket setup.
+The ``jobs=0`` engine resolves to the host's CPU count, so it runs once
+per :data:`~tests.conftest.HOST_CPU_COUNTS` entry, ``os.cpu_count``
+patched: as a serial run on one CPU and as a four-worker pool.
 """
 
 import dataclasses
@@ -20,6 +23,8 @@ from repro.api import (
     with_engine,
 )
 
+from tests.conftest import host_cpu_counts
+
 ENGINES = {
     "serial": EngineSpec(),
     "pool": EngineSpec(kind="pool", jobs=2),
@@ -27,17 +32,26 @@ ENGINES = {
                               in_process=True),
 }
 
+#: One worker per CPU: serial on a 1-CPU host, a pool on more.
+AUTO = EngineSpec(kind="pool", jobs=0)
 
-def results_for(base_request):
-    results = {}
-    for name, engine in ENGINES.items():
-        result = Session().run(with_engine(base_request, engine))
-        # Equality must only be over engine-independent content: zero
-        # the timings and re-point the request at the common engine.
-        normal = result.normalized()
-        results[name] = dataclasses.replace(
-            normal, request=with_engine(normal.request, EngineSpec())
-        )
+
+def normalized_run(base_request, engine):
+    result = Session().run(with_engine(base_request, engine))
+    # Equality must only be over engine-independent content: zero
+    # the timings and re-point the request at the common engine.
+    normal = result.normalized()
+    return dataclasses.replace(
+        normal, request=with_engine(normal.request, EngineSpec())
+    )
+
+
+def results_for(base_request, monkeypatch):
+    """Every engine's normalised result, ``jobs=0`` as ``auto@<cpus>``."""
+    results = {name: normalized_run(base_request, engine)
+               for name, engine in ENGINES.items()}
+    for cpus in host_cpu_counts(monkeypatch):
+        results[f"auto@{cpus}"] = normalized_run(base_request, AUTO)
     return results
 
 
@@ -49,45 +63,47 @@ def assert_all_equal(results):
 
 
 class TestEngineEquivalence:
-    def test_prove_proved_policy(self):
+    def test_prove_proved_policy(self, monkeypatch):
         request = (VerificationRequest.builder("prove")
                    .policy("balance_count").scope(cores=3, max_load=2)
                    .build())
-        results = results_for(request)
+        results = results_for(request, monkeypatch)
         assert results["serial"].ok
         assert_all_equal(results)
 
-    def test_prove_refuted_policy_same_counterexamples(self):
+    def test_prove_refuted_policy_same_counterexamples(self, monkeypatch):
         request = (VerificationRequest.builder("prove")
                    .policy("naive").scope(cores=3, max_load=2).build())
-        results = results_for(request)
+        results = results_for(request, monkeypatch)
         assert not results["serial"].ok
-        # Sharded engines are mutually identical; the serial engine
-        # matches them on everything except `states_checked` of refuted
-        # sweeps (each shard stops at its own chunk's first
+        # Engines with the same shard count are identical; otherwise
+        # results match on everything except `states_checked` of
+        # refuted sweeps (each shard stops at its own chunk's first
         # counterexample — the documented divergence in
         # repro.verify.parallel).
         assert results["pool"] == results["distributed"]
-        serial, pool = results["serial"], results["pool"]
-        assert serial.verdict == pool.verdict
-        for ours, theirs in zip(serial.certificate.report.results,
-                                pool.certificate.report.results):
-            assert ours.status == theirs.status
-            assert ours.counterexample == theirs.counterexample
+        assert results["auto@1"] == results["serial"]
+        serial = results["serial"]
+        for sharded in (results["pool"], results["auto@4"]):
+            assert serial.verdict == sharded.verdict
+            for ours, theirs in zip(serial.certificate.report.results,
+                                    sharded.certificate.report.results):
+                assert ours.status == theirs.status
+                assert ours.counterexample == theirs.counterexample
 
-    def test_hunt_with_topology_quotient(self):
+    def test_hunt_with_topology_quotient(self, monkeypatch):
         request = (VerificationRequest.builder("hunt")
                    .policy("balance_count").topology("numa:2x2")
                    .scope(max_load=2).build())
-        results = results_for(request)
+        results = results_for(request, monkeypatch)
         assert results["serial"].verdict.ok
         assert_all_equal(results)
 
-    def test_hierarchical_hunt(self):
+    def test_hierarchical_hunt(self, monkeypatch):
         request = (VerificationRequest.builder("hunt")
                    .policy("hierarchical").topology("numa:2x2")
                    .scope(max_load=2).build())
-        assert_all_equal(results_for(request))
+        assert_all_equal(results_for(request, monkeypatch))
 
     def test_campaign_coverage_is_engine_independent(self):
         # Coverage is a function of (seed, worker count): pool with 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import strategies as st
 
@@ -59,6 +61,20 @@ BROKEN_POLICIES = [
     (NaiveOverloadedPolicy(), {"steal_soundness", "work_conservation"}),
     (WeightedBalancePolicy(), {"steal_soundness"}),
 ]
+
+
+#: Host CPU counts the ``jobs=0`` tests run under: one CPU resolves
+#: ``jobs=0`` to a serial run, several to a pool, so exercising both
+#: keeps host-dependent behaviour from hiding on any test machine.
+HOST_CPU_COUNTS = (1, 4)
+
+
+def host_cpu_counts(monkeypatch):
+    """Yield each of :data:`HOST_CPU_COUNTS` with ``os.cpu_count``
+    patched to report it."""
+    for cpus in HOST_CPU_COUNTS:
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        yield cpus
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,16 @@ class TestEngineSpans:
         assert root.name == "request.prove"
         assert root.args["store_hit"] is False
 
+    def test_kernel_span_counts_rows_and_distinct_successors(self):
+        """``values`` counts each state's distinct successors; ``rows``
+        the steal-walk rows materialised before dedup, never fewer."""
+        TRACER.enable()
+        Session().run(_request())
+        kernels = [s for s in TRACER.drain() if s.name == "checker.kernel"]
+        assert kernels
+        for span in kernels:
+            assert 0 < span.args["values"] <= span.args["rows"]
+
     def test_rendered_output_identical_with_tracing_on_and_off(self):
         plain = Session().run(_request()).render()
         TRACER.enable()

@@ -2,7 +2,6 @@
 result-changing differences never do."""
 
 import json
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,19 +17,7 @@ from repro.store import (
     subsumes,
 )
 
-
-#: Host CPU counts the ``jobs=0`` tests run under: one CPU resolves
-#: ``jobs=0`` to a serial key, several to a pool key, so exercising
-#: both keeps host-dependent keying from hiding on any test machine.
-HOST_CPU_COUNTS = (1, 4)
-
-
-def host_cpu_counts(monkeypatch):
-    """Yield each of :data:`HOST_CPU_COUNTS` with ``os.cpu_count``
-    patched to report it."""
-    for cpus in HOST_CPU_COUNTS:
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-        yield cpus
+from tests.conftest import host_cpu_counts
 
 
 def prove_request(**kwargs):

@@ -9,12 +9,17 @@ executor it replaces, so every test here is a differential one:
 * the hierarchical packed fast path's ``_inter_mid_states`` versus the
   shared tuple helper ``_inter_outcomes`` (the docstring contract in
   ``repro.verify.hierarchical`` points at this file);
-* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs);
+* the steal-order DAG the kernel walks (:func:`_order_dag`) versus
+  ``itertools.permutations``, and the kernel under truncation caps that
+  cut the order tree part-way;
+* the ``REPRO_KERNEL`` eligibility gates (mode parsing, opt-outs, the
+  dedup key width);
 * bytes-form codecs, which the kernel declines: their closures run on
   the tuple executor through the set-based BFS loops.
 """
 
 import itertools
+import math
 
 import numpy
 import pytest
@@ -39,7 +44,7 @@ from repro.verify.hierarchical import (
     HierarchySpec,
     _inter_outcomes,
 )
-from repro.verify.kernel import kernel_mode
+from repro.verify.kernel import _order_dag, kernel_mode, key_bits
 from repro.verify.symmetry import TrivialGroup
 from repro.verify.transition import enumerate_round_branches
 
@@ -62,7 +67,7 @@ def kernel_for(policy, codec, max_orders=5040):
 
 def expand_per_state(kernel, packed):
     """``expand_batch_arrays`` split into per-state successor runs."""
-    values, counts, truncated = kernel.expand_batch_arrays(
+    values, counts, truncated, _ = kernel.expand_batch_arrays(
         numpy.asarray(packed, dtype=numpy.int64)
     )
     assert len(values) == int(counts.sum())
@@ -186,6 +191,21 @@ class TestEligibilityGates:
         assert build_kernel(OpaquePolicy(), codec) is None
 
 
+def test_kernel_declines_codecs_too_wide_for_its_dedup_key(monkeypatch):
+    """Twelve cores at five bits pack into an int, but the order class
+    of up to twelve thieves does not fit beside them; one order does."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    codec = StateCodec(n_cores=12, max_value=31)
+    assert codec.use_int
+    assert key_bits(codec, 5040) > 63
+    assert build_kernel(BalanceCountPolicy(), codec) is None
+    assert key_bits(codec, 1) == 60
+    assert build_kernel(BalanceCountPolicy(), codec, max_orders=1) \
+        is not None
+    with pytest.raises(VerificationError, match="too wide"):
+        TransitionKernel(BalanceCountPolicy(), codec)
+
+
 class TestBytesFormCodec:
     """A codec the kernel declines: the closure runs on the tuple oracle.
 
@@ -233,11 +253,10 @@ class TestBytesFormCodec:
 class TestManyThiefExpansion:
     """The n-thief array expansion versus the tuple executor.
 
-    The kernel executes *every* thief count through the mixed-radix
-    shared-prefix-tree expansion — there is no per-state fallback — so
-    states with three, four, and five racing thieves must reproduce the
-    tuple executor's successor sets and truncation flags exactly, caps
-    included.
+    The kernel executes *every* thief count through the steal-order DAG
+    walk — there is no per-state fallback — so states with three, four,
+    and five racing thieves must reproduce the tuple executor's
+    successor sets and truncation flags exactly, caps included.
     """
 
     #: 6-core states with known many-thief structure under
@@ -331,3 +350,114 @@ class TestManyThiefExpansion:
         assert len(batch) == len(packed)
         for state, run in zip(packed, batch):
             assert expand_per_state(kernel, [state]) == [run]
+            successors = run[0]
+            assert successors == sorted(set(successors))
+
+    def test_row_cap_slicing_is_invisible(self, monkeypatch):
+        """Slicing the walk's states (a tiny row cap) changes no run."""
+        codec = StateCodec(n_cores=6, max_value=18)
+        states = list(itertools.product((0, 2, 3), repeat=6))
+        kernel = kernel_for(BalanceCountPolicy(), codec, max_orders=24)
+        packed = codec.encode_batch(states)
+        whole = expand_per_state(kernel, packed)
+        monkeypatch.setattr(TransitionKernel, "_ROW_CAP", 64)
+        assert expand_per_state(kernel, packed) == whole
+
+
+def dag_paths(dag):
+    """Every root-to-leaf path of a steal-order DAG, depth first."""
+    paths = []
+
+    def walk(depth, cls, prefix):
+        if depth == len(dag):
+            paths.append(tuple(prefix))
+            return
+        offsets, cols, dsts = dag[depth]
+        for edge in range(offsets[cls], offsets[cls + 1]):
+            walk(depth + 1, int(dsts[edge]), prefix + [int(cols[edge])])
+
+    walk(0, 0, [])
+    return paths
+
+
+class TestStealOrderDag:
+    """The suffix-class DAG against the permutation universe it encodes."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_untruncated_depths_hold_one_class_per_thief_set(self, k):
+        dag = _order_dag(k, math.factorial(k))
+        for depth, (offsets, _, dsts) in enumerate(dag):
+            assert len(offsets) - 1 == math.comb(k, depth)
+            assert int(dsts.max()) + 1 == math.comb(k, depth + 1)
+
+    @pytest.mark.parametrize("k,n_orders", [
+        (0, 1), (1, 1), (2, 1), (3, 4), (4, 5), (4, 7), (4, 23),
+        (4, 24), (5, 25), (5, 119), (5, 120), (6, 30), (6, 721),
+    ])
+    def test_paths_are_the_capped_permutations(self, k, n_orders):
+        expected = list(itertools.islice(
+            itertools.permutations(range(k)), n_orders
+        ))
+        assert dag_paths(_order_dag(k, n_orders)) == expected
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_key_bits_bound_every_depth(self, k):
+        """``key_bits`` bounds the class field for any thief count."""
+        codec = StateCodec(n_cores=k, max_value=3)
+        for max_orders in (1, 5, 23, 119, 5040):
+            dag = _order_dag(k, min(math.factorial(k), max_orders))
+            widest = max(int(dsts.max()).bit_length()
+                         for _, _, dsts in dag)
+            assert k * codec.bits + widest <= key_bits(codec, max_orders)
+
+
+class TestPartialTruncation:
+    """Caps that cut the order tree part-way, where a suffix class is
+    not just "the thieves still to steal"."""
+
+    @staticmethod
+    def many_thief_states(n_cores):
+        """States with one loaded core (two allowed at six cores) and
+        idle or single-task others: four or five racing thieves."""
+        loaded = st.integers(min_value=3, max_value=6)
+        light = st.integers(min_value=0, max_value=1)
+        return st.integers(min_value=1, max_value=n_cores - 4).flatmap(
+            lambda n_loaded: st.tuples(
+                st.lists(loaded, min_size=n_loaded, max_size=n_loaded),
+                st.lists(light, min_size=n_cores - n_loaded,
+                         max_size=n_cores - n_loaded),
+            )
+        ).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_partial_caps_match_tuples(self, data):
+        n_cores = data.draw(st.sampled_from([5, 6]))
+        max_orders = data.draw(st.sampled_from([5, 7, 23, 25, 119]))
+        policy = data.draw(st.sampled_from(
+            [BalanceCountPolicy(), GreedyHalvingPolicy()]
+        ))
+        states = data.draw(st.lists(
+            self.many_thief_states(n_cores).map(tuple),
+            min_size=1, max_size=4,
+        ))
+        codec = StateCodec(n_cores=n_cores, max_value=4 * n_cores)
+        kernel = kernel_for(policy, codec, max_orders=max_orders)
+        counts = {TestManyThiefExpansion.thief_count(kernel, p)
+                  for p in codec.encode_batch(states)}
+        assert counts <= {4, 5}, (states, counts)
+        assert_batch_matches_tuples(kernel, codec, states, max_orders)
+
+    def test_state_span_slicing_on_a_wide_codec(self):
+        """60 ready bits leave the dedup key room for eight states per
+        slice: a larger batch runs sliced and still matches."""
+        codec = StateCodec(n_cores=12, max_value=31)
+        assert codec.n_cores * codec.bits == 60
+        kernel = kernel_for(BalanceCountPolicy(), codec, max_orders=1)
+        # One loaded core, so every thief has a single victim and the
+        # tuple oracle stays cheap.
+        states = [
+            tuple(7 if j == i % 12 else (i + j) % 2 for j in range(12))
+            for i in range(20)
+        ] + [(1,) * 12, (0,) * 11 + (7,)]
+        assert_batch_matches_tuples(kernel, codec, states, 1)

@@ -8,10 +8,12 @@ from repro.policies import (
     NaiveOverloadedPolicy,
 )
 from repro.policies.naive import GreedyReadyPolicy
+from repro.core.errors import VerificationError
 from repro.verify import (
     ModelChecker,
     StateScope,
     is_bad_state,
+    longest_bad_escape,
 )
 
 from tests.conftest import PROVEN_POLICIES
@@ -203,3 +205,33 @@ class TestCaching:
         first, _ = checker.successors((0, 1, 2))
         second, _ = checker.successors((0, 1, 2))
         assert first is second
+
+
+class TestLongestBadEscape:
+    """The exact-N DP over the acyclic bad region."""
+
+    def test_long_bad_chain_needs_no_recursion(self):
+        """A 2000-state bad chain, walked from its head first: one
+        Python frame per state would pass the default recursion limit."""
+        chain = [(0, i) for i in range(2000)]
+        edges = {state: frozenset({succ})
+                 for state, succ in zip(chain, chain[1:])}
+        edges[chain[-1]] = frozenset({(1, 1)})
+        edges[(1, 1)] = frozenset({(1, 1)})
+        assert longest_bad_escape(edges, set(chain)) == 2000
+
+    def test_adversary_takes_the_longest_branch(self):
+        edges = {
+            "a": frozenset({"b", "good"}),
+            "b": frozenset({"c", "d"}),
+            "c": frozenset({"good"}),
+            "d": frozenset({"c"}),
+            "good": frozenset({"good"}),
+        }
+        assert longest_bad_escape(edges, {"a", "b", "c", "d"}) == 4
+        assert longest_bad_escape(edges, set()) == 0
+
+    def test_bad_cycle_is_refused(self):
+        edges = {"a": frozenset({"b"}), "b": frozenset({"a"})}
+        with pytest.raises(VerificationError, match="cycle"):
+            longest_bad_escape(edges, {"a", "b"})
