@@ -1504,10 +1504,11 @@ class AsyncPartitionExplorer:
                                  daemon=True)
                 for client in clients
             ]
-            # A late joiner appends (and starts) its own thread while
-            # these start, so start from a snapshot of the list.
+            # A late joiner appends (and starts) its own thread from
+            # the listener registered above, so keep what it added and
+            # start only the initial threads here.
             with self._cond:
-                self._threads = list(initial)
+                self._threads.extend(initial)
             for thread in initial:
                 thread.start()
             while True:

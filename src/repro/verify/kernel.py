@@ -28,16 +28,16 @@ racing thieves, and each group runs one dynamic programme over the
   held as 1-D ``int64`` arrays with the ready vector packed. Each depth
   expands every row along its class's out-edges and, per edge, along
   that thief's victims, applies the table-driven steal, and keeps one
-  row per key with one sort of a packed ``int64`` key.
+  row per key with one sort (ready vectors enter the key as ranks, so
+  its width never depends on the codec).
 * **Why merging is exact.** A thief's victim set is fixed by the
   round-start snapshot, running bits never change within a round, and a
   steal reads only ``(running, ready)``; so rows with equal keys reach
   identical leaf sets. The leaf universe and the truncation flag are the
   tuple executor's.
 * **The cap.** No depth materialises more than
-  :attr:`TransitionKernel._ROW_CAP` rows before dedup, and no key
-  overflows ``int64``: larger groups run in state slices (one state is
-  never split).
+  :attr:`TransitionKernel._ROW_CAP` rows before dedup: larger groups
+  run in state slices (one state is never split).
 
 :meth:`TransitionKernel.expand_batch_arrays` returns each state's
 successors duplicate-free and ascending, as flat arrays that feed the
@@ -48,10 +48,10 @@ eligibility question answered by
 :attr:`~repro.core.policy.Policy.filter_invariance` (``"loads"``,
 ``"scoped-loads"`` with a static pair mask, or ``"none"`` to opt out)
 plus the checker parameters: only ``choice_mode='all'``, the
-stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and a
-codec whose dedup keys fit ``int64`` lanes (:func:`key_bits`).
-Everything else — bytes-form codecs included — runs on the tuple
-executor, the single reference oracle.
+stale-snapshot (non-sequential) regime, ``max_orders >= 1``, and an
+int-form codec (whole frontiers must fit ``int64`` lanes). Everything
+else — bytes-form codecs included — runs on the tuple executor, the
+single reference oracle.
 
 The ``REPRO_KERNEL`` environment variable selects the path: ``off``
 (tuple executor everywhere) or the default ``numpy``.
@@ -70,7 +70,7 @@ from repro.core.cpu import CoreSnapshot
 from repro.core.errors import VerificationError
 from repro.core.policy import Policy
 from repro.core.task import NICE_0_WEIGHT
-from repro.verify.encoding import INT_FORM_MAX_BITS, StateCodec
+from repro.verify.encoding import StateCodec
 from repro.verify.transition import DEFAULT_MAX_ORDERS
 
 #: Environment toggle for the kernel tier.
@@ -163,40 +163,22 @@ def pair_mask_for(policy: Policy, n_cores: int) -> list[list[bool]] | None:
     ]
 
 
-def key_bits(codec: StateCodec, max_orders: int) -> int:
-    """Bits of the widest dedup key the steal walk packs for ``codec``.
-
-    A key holds a packed ready vector (``n_cores * bits``) and an order
-    class index. The widest depth of the ``n_cores``-thief DAG has
-    ``C(n, n // 2)`` classes (sets of thieves still to steal), plus one
-    partial class when ``max_orders`` truncates the order universe;
-    fewer thieves never need more. State bits are not counted: the walk
-    slices states until they fit.
-    """
-    n = codec.n_cores
-    classes = math.comb(n, n // 2)
-    if math.factorial(n) > max_orders:
-        classes = min(classes + 1, max_orders)
-    return n * codec.bits + (classes - 1).bit_length()
-
-
 def build_kernel(policy: Policy, codec: StateCodec,
                  choice_mode: str = "all",
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  n_cores: int | None = None) -> "TransitionKernel | None":
     """A kernel for ``(policy, codec)``, or ``None`` when ineligible.
 
-    Eligibility: ``REPRO_KERNEL`` not ``off``; ``choice_mode='all'``
-    (policy mode consults ``choose``, which tables cannot capture);
-    ``max_orders >= 1``; a codec whose steal-walk dedup key fits one
-    ``int64`` (:func:`key_bits` — bytes-form codecs, and int-form ones
-    within a few bits of the limit, take the tuple executor); and the
-    policy declares a table-compatible
+    Eligibility: ``REPRO_KERNEL`` not ``off``; an int-form codec (the
+    kernel holds whole frontiers in ``int64`` lanes, so bytes-form
+    codecs take the tuple executor); ``choice_mode='all'`` (policy mode
+    consults ``choose``, which tables cannot capture);
+    ``max_orders >= 1``; and the policy declares a table-compatible
     :attr:`~repro.core.policy.Policy.filter_invariance`.
     """
-    if kernel_mode() == "off" or choice_mode != "all" or max_orders < 1:
+    if kernel_mode() == "off" or not codec.use_int:
         return None
-    if key_bits(codec, max_orders) > INT_FORM_MAX_BITS:
+    if choice_mode != "all" or max_orders < 1:
         return None
     invariance = getattr(policy, "filter_invariance", "none")
     if invariance not in ("loads", "scoped-loads"):
@@ -215,9 +197,8 @@ class TransitionKernel:
     Built once per ``(policy, codec)`` and cached by the checker; the
     construction probes the real policy over the full
     ``(running, ready)`` grid (bounded by the codec's conserved total),
-    after which no policy code runs during exploration. The codec's
-    dedup keys must fit ``int64`` (:func:`key_bits`), else construction
-    raises :class:`~repro.core.errors.VerificationError`.
+    after which no policy code runs during exploration. The codec must
+    be int-form (see :func:`build_kernel`).
 
     Attributes:
         policy: the policy the tables were probed from.
@@ -228,11 +209,6 @@ class TransitionKernel:
     def __init__(self, policy: Policy, codec: StateCodec,
                  max_orders: int = DEFAULT_MAX_ORDERS,
                  pair_mask: Sequence[Sequence[bool]] | None = None) -> None:
-        if key_bits(codec, max_orders) > INT_FORM_MAX_BITS:
-            raise VerificationError(
-                f"codec {codec.describe()} is too wide for the kernel's"
-                " int64 dedup keys"
-            )
         self.policy = policy
         self.codec = codec
         self.max_orders = max_orders
@@ -409,8 +385,8 @@ class TransitionKernel:
         ``(state, suffix class, live ready vector)``. Each depth
         expands every row along its class's out-edges and, per edge,
         along that thief's victims; applies the steal by table lookup;
-        and keeps one row per key by sorting the packed key
-        ``(state, class, ready)``. Victims are chosen at steal time,
+        and keeps one row per key with one sort of an ``int64`` key
+        ``(state, class, rank of ready)``. Victims are chosen at steal time,
         which enumerates the same combinations as choosing them up
         front: thief ``j``'s victim is read only by thief ``j``'s steal.
 
@@ -424,11 +400,10 @@ class TransitionKernel:
         loads are packed ready plus packed running at the leaves.
 
         The cap: rows stay sorted by state, and a depth whose expansion
-        would exceed :data:`_ROW_CAP` rows before dedup, or whose key
-        would overflow ``int64`` (the class and ready fields leave
-        ``63 - key width`` bits for the state), splits its states into
-        slices. A single state is never split. Slices run lowest state
-        first, so each state's leaves come out together, ascending.
+        would exceed :data:`_ROW_CAP` rows before dedup splits its
+        states into slices. A single state is never split. Slices run
+        lowest state first, so each state's leaves come out together,
+        ascending.
 
         Returns ``(state_indices, packed_values, truncated, rows)``:
         each state's successors, duplicate-free and ascending, mapped
@@ -454,8 +429,6 @@ class TransitionKernel:
         truncated = n_orders > self.max_orders
         dag = _order_dag(k, min(n_orders, self.max_orders))
         shifts, weights, digit = self._shifts, self._weights, self._digit
-        r_bits = n * self.codec.bits
-        r_mask = (1 << r_bits) - 1
         # Flat strides of the 4-D step table for 1-D gathers below.
         dim_b, dim_c, dim_d = self._step.shape[1:]
         step_flat = self._step.reshape(-1)
@@ -472,11 +445,6 @@ class TransitionKernel:
                 leaf_ready.append(rdy)
                 continue
             offsets, cols, dsts = dag[depth]
-            # Dedup key: (state - st[0], class, packed ready) in one
-            # int64, so the class and ready fields bound the states a
-            # slice may span.
-            c_bits = int(dsts.max()).bit_length()
-            max_states = 1 << (INT_FORM_MAX_BITS - c_bits - r_bits)
             # Rows x out-edges of their class.
             first = offsets[cls]
             deg = offsets[cls + 1] - first
@@ -487,8 +455,7 @@ class TransitionKernel:
             fan = n_vic[tj]
             cum = np.cumsum(fan)
             total = int(cum[-1])
-            span = int(st[-1] - st[0]) + 1
-            if span > 1 and (total > self._ROW_CAP or span > max_states):
+            if total > self._ROW_CAP and st[-1] != st[0]:
                 # Slice at state boundaries: keys include the state, so
                 # each slice dedups on its own.
                 cuts = np.flatnonzero(st[1:] != st[:-1]) + 1
@@ -501,8 +468,7 @@ class TransitionKernel:
                     hi = int(np.searchsorted(
                         cum_end, before + self._ROW_CAP, side="right"
                     ))
-                    hi = min(max(hi, lo + 1), lo + max_states,
-                             len(state_end))
+                    hi = min(max(hi, lo + 1), len(state_end))
                     a = int(state_end[lo - 1]) if lo else 0
                     b = int(state_end[hi - 1])
                     slices.append((depth, st[a:b], cls[a:b], rdy[a:b]))
@@ -531,21 +497,24 @@ class TransitionKernel:
             idx += qv
             moved = np.minimum(step_flat[idx], qv)
             r += moved * (weights[t] - weights[v])
-            # One row per (state, class, ready): sort the packed keys
-            # and keep first occurrences.
+            # One row per (state, class, ready): sort one int64 key
+            # (state offset, class, rank of the ready vector) and keep
+            # first occurrences. Ranking the ready vectors keeps the key
+            # width-free: every field is bounded by this depth's row
+            # count or the DAG's class count, never by the codec.
+            n_cls = int(dsts.max()) + 1
             s0 = st[0]
-            key = (s - s0) << c_bits
-            key |= dsts[edge[edge_v]]
-            key <<= r_bits
-            key |= r
+            ready_vals, key = np.unique(r, return_inverse=True)
+            n_r = len(ready_vals)
+            key += ((s - s0) * n_cls + dsts[edge[edge_v]]) * n_r
             key.sort()
             keep = np.empty(total, dtype=bool)
             keep[0] = True
             np.not_equal(key[1:], key[:-1], out=keep[1:])
             key = key[keep]
-            high = key >> r_bits
-            stack.append((depth + 1, s0 + (high >> c_bits),
-                          high & ((1 << c_bits) - 1), key & r_mask))
+            high, low = np.divmod(key, n_r)
+            s_hi, c = np.divmod(high, n_cls)
+            stack.append((depth + 1, s0 + s_hi, c, ready_vals[low]))
         st = np.concatenate(leaf_state)
         return (
             group[st],

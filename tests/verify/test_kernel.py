@@ -44,9 +44,12 @@ from repro.verify.hierarchical import (
     HierarchySpec,
     _inter_outcomes,
 )
-from repro.verify.kernel import _order_dag, kernel_mode, key_bits
+from repro.verify.kernel import _order_dag, kernel_mode
 from repro.verify.symmetry import TrivialGroup
-from repro.verify.transition import enumerate_round_branches
+from repro.verify.transition import (
+    DEFAULT_MAX_ORDERS,
+    enumerate_round_branches,
+)
 
 POLICIES = [
     BalanceCountPolicy(),
@@ -190,20 +193,17 @@ class TestEligibilityGates:
 
         assert build_kernel(OpaquePolicy(), codec) is None
 
-
-def test_kernel_declines_codecs_too_wide_for_its_dedup_key(monkeypatch):
-    """Twelve cores at five bits pack into an int, but the order class
-    of up to twelve thieves does not fit beside them; one order does."""
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    codec = StateCodec(n_cores=12, max_value=31)
-    assert codec.use_int
-    assert key_bits(codec, 5040) > 63
-    assert build_kernel(BalanceCountPolicy(), codec) is None
-    assert key_bits(codec, 1) == 60
-    assert build_kernel(BalanceCountPolicy(), codec, max_orders=1) \
-        is not None
-    with pytest.raises(VerificationError, match="too wide"):
-        TransitionKernel(BalanceCountPolicy(), codec)
+    @pytest.mark.parametrize("n_cores,max_load", [
+        (9, 8), (10, 4), (11, 2), (12, 2),
+    ])
+    def test_every_int_form_codec_gets_a_kernel(self, monkeypatch,
+                                                n_cores, max_load):
+        """Wide scopes near the 63-bit int form keep the kernel at the
+        default cap: its dedup key never depends on the codec."""
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        codec = StateCodec(n_cores=n_cores, max_value=n_cores * max_load)
+        assert codec.use_int
+        assert build_kernel(BalanceCountPolicy(), codec) is not None
 
 
 class TestBytesFormCodec:
@@ -400,16 +400,6 @@ class TestStealOrderDag:
         ))
         assert dag_paths(_order_dag(k, n_orders)) == expected
 
-    @pytest.mark.parametrize("k", range(2, 8))
-    def test_key_bits_bound_every_depth(self, k):
-        """``key_bits`` bounds the class field for any thief count."""
-        codec = StateCodec(n_cores=k, max_value=3)
-        for max_orders in (1, 5, 23, 119, 5040):
-            dag = _order_dag(k, min(math.factorial(k), max_orders))
-            widest = max(int(dsts.max()).bit_length()
-                         for _, _, dsts in dag)
-            assert k * codec.bits + widest <= key_bits(codec, max_orders)
-
 
 class TestPartialTruncation:
     """Caps that cut the order tree part-way, where a suffix class is
@@ -448,16 +438,19 @@ class TestPartialTruncation:
         assert counts <= {4, 5}, (states, counts)
         assert_batch_matches_tuples(kernel, codec, states, max_orders)
 
-    def test_state_span_slicing_on_a_wide_codec(self):
-        """60 ready bits leave the dedup key room for eight states per
-        slice: a larger batch runs sliced and still matches."""
+    def test_widest_int_form_codec_keeps_the_kernel(self):
+        """Twelve cores at five bits fill 60 of the int form's 63 bits;
+        the walk's dedup key does not depend on the codec, so the kernel
+        still engages at the default cap, where eleven racing thieves
+        cut the order tree part-way."""
         codec = StateCodec(n_cores=12, max_value=31)
         assert codec.n_cores * codec.bits == 60
-        kernel = kernel_for(BalanceCountPolicy(), codec, max_orders=1)
+        kernel = kernel_for(BalanceCountPolicy(), codec)
         # One loaded core, so every thief has a single victim and the
         # tuple oracle stays cheap.
         states = [
             tuple(7 if j == i % 12 else (i + j) % 2 for j in range(12))
-            for i in range(20)
+            for i in range(6)
         ] + [(1,) * 12, (0,) * 11 + (7,)]
-        assert_batch_matches_tuples(kernel, codec, states, 1)
+        assert_batch_matches_tuples(kernel, codec, states,
+                                    DEFAULT_MAX_ORDERS)
