@@ -43,6 +43,7 @@ from repro.verify.enumeration import (
 )
 from repro.verify.encoding import (
     INT_FORM_MAX_BITS,
+    PackedClosure,
     PackedState,
     StateCodec,
 )
@@ -216,6 +217,7 @@ __all__ = [
     "snapshot_from_load",
     "views_of",
     "INT_FORM_MAX_BITS",
+    "PackedClosure",
     "PackedState",
     "StateCodec",
     "KERNEL_ENV",

@@ -89,13 +89,12 @@ from repro.core.errors import VerificationError
 from repro.obs.trace import TRACER, spans_to_payload, trace_clock
 from repro.topology.numa import NumaTopology
 from repro.verify.campaign import CampaignConfig, CampaignReport, run_campaign
-from repro.verify.encoding import PackedState, StateCodec, decode_graph
+from repro.verify.encoding import PackedClosure, PackedState, StateCodec
 from repro.verify.enumeration import StateScope
 from repro.verify.hierarchical import HierarchySpec, build_checker
 from repro.verify.model_checker import (
     ModelChecker,
     PackedGraph,
-    TransitionGraph,
     WorkConservationAnalysis,
 )
 from repro.verify.symmetry import SymmetryGroup, resolve_symmetry
@@ -1550,20 +1549,20 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
                   on_expand: Callable[[int], None] | None = None,
                   on_partition_split:
                       "Callable[[int, str, str, int], None] | None" = None,
-                  ) -> tuple[TransitionGraph, bool]:
+                  ) -> tuple[PackedClosure, bool]:
     """Async counterpart of :func:`~repro.verify.parallel.bfs_closure`.
 
-    Same contract — canonical initial states in, decoded tuple graph
-    out — with the level loop replaced by an
-    :class:`AsyncPartitionExplorer` run. The canonicalisation, codec
-    derivation, and final decode are copied from ``bfs_closure`` verbatim
-    so both modes feed byte-identical graphs to every downstream
-    consumer.
+    Same contract — canonical initial states in, a
+    :class:`~repro.verify.encoding.PackedClosure` out — with the level
+    loop replaced by an :class:`AsyncPartitionExplorer` run. The
+    canonicalisation and codec derivation are copied from
+    ``bfs_closure`` verbatim so both modes feed identical closures to
+    every downstream consumer.
     """
     group = resolve_symmetry(symmetric, symmetry)
     canon = {group.canonicalize(s) for s in initial_states}
     if not canon:
-        return {}, False
+        return PackedClosure.empty(), False
     codec = StateCodec.for_states(len(next(iter(canon))), canon)
     if n_partitions is None:
         n_partitions = max(
@@ -1576,7 +1575,7 @@ def async_closure(coordinator: Coordinator, config: CheckerConfig,
     edges, truncated = explorer.run(
         sorted(codec.encode(state) for state in canon)
     )
-    return decode_graph(codec, edges), truncated
+    return PackedClosure.from_edges(codec, edges), truncated
 
 
 def resolve_mode(mode: str) -> str:

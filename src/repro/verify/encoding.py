@@ -19,9 +19,10 @@ drop-in replacement everywhere the engines previously used tuples:
   comparing two packed states (int < int, or bytes < bytes) agrees with
   lexicographic tuple comparison. Sorted packed frontiers therefore
   stripe into exactly the same round-robin shards the tuple engine
-  built, which is one half of the byte-identity guarantee (the other
-  half is decoding the finished graph back to tuples before any
-  certificate, rendering, or store-key code sees it).
+  built, and the rows of a finished :class:`PackedClosure` ascend in
+  tuple order, so the graph algorithms visit states in the order a sort
+  of the tuple graph gives and decode only the states a verdict prints.
+  Both halves of the byte-identity guarantee rest on this.
 * **Total-load safe** — ``max_value`` is chosen from the *total* load
   of the initial states, and steals conserve totals, so no reachable
   state can overflow a digit even under over-stealing policies that
@@ -36,12 +37,14 @@ on it directly. See ``docs/encoding.md`` for the layout reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from itertools import chain
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
 from repro.core.errors import VerificationError
-from repro.verify.enumeration import LoadState, StateScope
+from repro.obs.trace import TRACER
+from repro.verify.enumeration import LoadState, StateScope, is_bad_state
 
 #: A packed abstract state: one machine integer for small scopes,
 #: ``bytes`` for scopes whose packed width exceeds 63 bits.
@@ -233,34 +236,109 @@ def merge_fresh(seen: np.ndarray,
     return np.insert(seen, np.searchsorted(seen, fresh), fresh), fresh
 
 
-def decode_graph(codec: StateCodec,
-                 edges: dict) -> dict[LoadState, frozenset[LoadState]]:
-    """Decode a packed transition graph back to tuple form, in bulk.
+@dataclass(frozen=True, eq=False)
+class PackedClosure:
+    """An explored closure as compressed-sparse-row arrays.
 
-    The boundary step of every packed closure: the tuple graph is what
-    certificates, rendering, and store keys consume, so it must match
-    the tuple engine's graph key for key. Uses one vectorised unpack
-    for int-form codecs and the scalar ``decode`` loop for bytes-form
-    ones (bit-identical results either way).
+    The form every engine hands to
+    :meth:`~repro.verify.model_checker.ModelChecker.analyze_graph`:
+    row ``i`` is the state ``keys[i]`` and its successors are the rows
+    ``targets[offsets[i]:offsets[i + 1]]``, ascending. ``keys`` ascend
+    too — an ``int64`` array under an int-form codec, a list of
+    ``bytes`` otherwise — and since the codec is order-preserving, row
+    order *is* lexicographic tuple order. Graph algorithms therefore
+    visit states in exactly the order a sort of the tuple graph gives,
+    and only the states a verdict prints are ever decoded.
+
+    Attributes:
+        codec: the codec ``keys`` are packed with.
+        keys: ascending packed states, one per row.
+        offsets: ``int64`` row starts into ``targets`` (length rows + 1).
+        targets: ``int64`` successor row indices.
     """
-    if not codec.use_int:
+
+    codec: StateCodec
+    keys: Any
+    offsets: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def from_edges(cls, codec: StateCodec, edges: dict) -> "PackedClosure":
+        """Index a packed closure ``state -> successors`` as CSR rows.
+
+        Every successor must itself be a key — true of any finished
+        closure, and checked here.
+        """
+        with TRACER.span("graph.csr", "graph", states=len(edges)):
+            n_rows = len(edges)
+            counts = np.fromiter(map(len, edges.values()), np.int64, n_rows)
+            owner = np.repeat(np.arange(n_rows), counts)
+            flat = chain.from_iterable(edges.values())
+            if codec.use_int:
+                keys = np.fromiter(edges, np.int64, n_rows)
+                values = np.fromiter(flat, np.int64, owner.size)
+                order = np.argsort(keys)
+                keys = keys[order]
+                rank = np.empty_like(order)
+                rank[order] = np.arange(n_rows)
+                owner = rank[owner]
+                cols = np.searchsorted(keys, values)
+                cols[keys[np.minimum(cols, n_rows - 1)] != values] = -1
+            else:
+                keys = sorted(edges)
+                index = {key: row for row, key in enumerate(keys)}
+                owner = np.fromiter(map(index.__getitem__, edges),
+                                    np.int64, n_rows)[owner]
+                cols = np.fromiter((index.get(s, -1) for s in flat),
+                                   np.int64, owner.size)
+            if (cols < 0).any():
+                raise VerificationError(
+                    "closure has a successor that is not a state"
+                )
+            # Sort by (row, successor row): rows ascend, and so do the
+            # successors within each row.
+            perm = np.argsort(owner * max(n_rows, 1) + cols)
+            offsets = np.zeros(n_rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=n_rows),
+                      out=offsets[1:])
+            return cls(codec, keys, offsets, cols[perm])
+
+    @classmethod
+    def empty(cls) -> "PackedClosure":
+        """The closure of no initial states."""
+        return cls.from_edges(StateCodec(n_cores=1, max_value=0), {})
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def states(self, rows: Sequence[int]) -> list[LoadState]:
+        """Decode the given rows to tuple states, in order."""
+        if self.codec.use_int:
+            digits = self.codec.unpack_array(self.keys[np.asarray(
+                rows, dtype=np.int64)])
+            return list(map(tuple, digits.tolist()))
+        return [self.codec.decode(self.keys[row]) for row in rows]
+
+    def bad_mask(self) -> np.ndarray:
+        """Per-row ``is_bad_state``: some core idle, some overloaded.
+
+        One vectorised test over the unpacked digit matrix under an
+        int-form codec; bytes-form keys decode per state.
+        """
+        if self.codec.use_int:
+            digits = self.codec.unpack_array(self.keys)
+            return (digits == 0).any(axis=1) & (digits >= 2).any(axis=1)
+        return np.fromiter(
+            (is_bad_state(self.codec.decode(key)) for key in self.keys),
+            dtype=bool, count=len(self.keys),
+        )
+
+    def decode(self) -> dict[LoadState, frozenset[LoadState]]:
+        """The whole closure as a tuple graph (tests and debugging)."""
+        states = self.states(range(len(self)))
+        bounds = self.offsets.tolist()
+        targets = self.targets.tolist()
         return {
-            codec.decode(packed): frozenset(
-                codec.decode(successor) for successor in successors
-            )
-            for packed, successors in edges.items()
+            state: frozenset(states[t] for t in targets[lo:hi])
+            for state, lo, hi in zip(states, bounds, bounds[1:])
         }
-    flat: list[int] = list(edges.keys())
-    counts = [len(successors) for successors in edges.values()]
-    for successors in edges.values():
-        flat.extend(successors)
-    digits = codec.unpack_array(np.asarray(flat, dtype=np.int64))
-    states = list(map(tuple, digits.tolist()))
-    n_keys = len(edges)
-    out: dict[LoadState, frozenset[LoadState]] = {}
-    cursor = n_keys
-    for index in range(n_keys):
-        count = counts[index]
-        out[states[index]] = frozenset(states[cursor:cursor + count])
-        cursor += count
-    return out

@@ -91,6 +91,37 @@ def kernel_mode() -> str:
     return mode
 
 
+#: Probe tables of at most this many cells are always built: the probe
+#: then costs a few tens of milliseconds of policy calls at most.
+TABLE_CELL_FLOOR = 1 << 16
+
+#: Probe tables of more cells are never built: each cell is a Python
+#: list slot and half of them a policy call, so past this the tables
+#: alone cost seconds and tens of megabytes.
+TABLE_CELL_CEILING = 1 << 20
+
+
+def table_fits(codec: StateCodec) -> bool:
+    """Whether the kernel's probe tables are worth building for ``codec``.
+
+    The tables hold ``4 * (max_value + 1)**2`` cells, quadratic in the
+    codec's conserved total, while a closure under ``codec`` holds at
+    most ``C(max_value + n_cores, n_cores)`` states (load vectors with
+    total ``<= max_value``), each of which the tuple executor expands
+    with a handful of policy calls. Tables within
+    :data:`TABLE_CELL_FLOOR` are always cheap; above it they must not
+    outnumber the closure's possible states, nor pass
+    :data:`TABLE_CELL_CEILING`. Huge totals (two cores at 21 bits)
+    therefore take the tuple executor instead of exhausting memory.
+    """
+    cells = 4 * (codec.max_value + 1) ** 2
+    if cells <= TABLE_CELL_FLOOR:
+        return True
+    return cells <= TABLE_CELL_CEILING and cells <= math.comb(
+        codec.max_value + codec.n_cores, codec.n_cores
+    )
+
+
 #: Steal-order DAGs of capped thief permutations, keyed ``(k, n_orders)``.
 _ORDER_DAGS: dict[tuple[int, int], list[tuple[Any, Any, Any]]] = {}
 
@@ -171,12 +202,16 @@ def build_kernel(policy: Policy, codec: StateCodec,
 
     Eligibility: ``REPRO_KERNEL`` not ``off``; an int-form codec (the
     kernel holds whole frontiers in ``int64`` lanes, so bytes-form
-    codecs take the tuple executor); ``choice_mode='all'`` (policy mode
-    consults ``choose``, which tables cannot capture);
-    ``max_orders >= 1``; and the policy declares a table-compatible
-    :attr:`~repro.core.policy.Policy.filter_invariance`.
+    codecs take the tuple executor) whose probe tables fit
+    (:func:`table_fits`); ``choice_mode='all'`` (policy mode consults
+    ``choose``, which tables cannot capture); ``max_orders >= 1``; and
+    the policy declares a table-compatible
+    :attr:`~repro.core.policy.Policy.filter_invariance`. Nothing is
+    allocated before the decision.
     """
     if kernel_mode() == "off" or not codec.use_int:
+        return None
+    if not table_fits(codec):
         return None
     if choice_mode != "all" or max_orders < 1:
         return None

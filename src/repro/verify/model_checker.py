@@ -24,7 +24,7 @@ scope's per-core bound (over-stealing policies do that).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from repro.core.policy import Policy
 from repro.obs.trace import TRACER
 from repro.topology.numa import NumaTopology
 from repro.verify.encoding import (
+    PackedClosure,
     PackedState,
     StateCodec,
-    decode_graph,
     merge_fresh,
 )
 from repro.verify.enumeration import (
@@ -64,8 +64,9 @@ from repro.verify.transition import (
 TransitionGraph = dict["LoadState", frozenset["LoadState"]]
 
 #: The packed form the engines explore in: packed state -> packed
-#: successors. Decoded back to a :data:`TransitionGraph` before any
-#: certificate, rendering, or store-key code runs.
+#: successors. Indexed into a :class:`~repro.verify.encoding.
+#: PackedClosure` once exploration finishes; only the states a verdict
+#: prints are ever decoded back to tuples.
 PackedGraph = dict["PackedState", frozenset["PackedState"]]
 
 #: Sentinel distinguishing "never built" from "built as ineligible".
@@ -456,24 +457,22 @@ class ModelChecker:
     def explore(self, initial_states: Iterable[LoadState],
                 sequential: bool = False,
                 on_expand: Callable[[int], None] | None = None,
-                ) -> tuple[TransitionGraph, bool]:
+                ) -> tuple[PackedClosure, bool]:
         """Reachable closure of ``initial_states`` as a transition graph.
 
-        Returns the edge map (every explored state mapped to its distinct
-        canonicalised successors) and whether any enumeration was
-        truncated. Exploration is the expensive half of :meth:`analyze`;
-        the parallel engine calls it per shard and merges the resulting
-        graphs by plain dict union, which is sound because the successor
-        map of a state is a pure function of (policy, state, parameters) —
-        two shards reaching the same state compute identical edges.
+        Returns the closure (every explored state with its distinct
+        canonicalised successors, as CSR rows) and whether any
+        enumeration was truncated. Exploration is the expensive half of
+        :meth:`analyze`; the successor map of a state is a pure function
+        of (policy, state, parameters), so every engine builds the same
+        closure.
 
-        Internally the closure is computed level-synchronously over
-        *packed* states (:mod:`repro.verify.encoding`), expanding whole
-        levels through :meth:`expand_packed` so the transition kernel
-        can vectorise them; the finished graph is decoded back to tuple
-        form here, at the boundary, which keeps every downstream
-        consumer (graph algorithms, certificates, store keys, rendered
-        output) byte-identical to the historic tuple engine.
+        The closure is computed level-synchronously over *packed* states
+        (:mod:`repro.verify.encoding`), expanding whole levels through
+        :meth:`expand_packed` so the transition kernel can vectorise
+        them, and is returned packed: the codec is order-preserving, so
+        the graph algorithms visit rows in tuple order and the states a
+        verdict prints decode to exactly the historic tuple engine's.
 
         ``on_expand`` (when given) is called after each expanded level
         with the cumulative number of states explored so far — the
@@ -482,7 +481,7 @@ class ModelChecker:
         """
         raw = list(initial_states)
         if not raw:
-            return {}, False
+            return PackedClosure.empty(), False
         # Canonicalisation permutes loads, so the codec fitted to the
         # raw states fits their canonical forms too — which lets the
         # array path below canonicalise the whole initial set in one
@@ -518,7 +517,7 @@ class ModelChecker:
                 seen_arr, frontier_arr = merge_fresh(
                     seen_arr, np.unique(np.asarray(flat, dtype=np.int64))
                 )
-            return decode_graph(codec, edges_packed), truncated
+            return PackedClosure.from_edges(codec, edges_packed), truncated
         initial = [self._canon(s) for s in raw]
         frontier = sorted({codec.encode(s) for s in initial})
         seen: set[PackedState] = set(frontier)
@@ -542,34 +541,39 @@ class ModelChecker:
             }
             seen.update(next_frontier)
             frontier = sorted(next_frontier)
-        return decode_graph(codec, edges_packed), truncated
+        return PackedClosure.from_edges(codec, edges_packed), truncated
 
-    def analyze_graph(self, scope: StateScope, edges: TransitionGraph,
+    def analyze_graph(self, scope: StateScope, closure: PackedClosure,
                       truncated: bool, sequential: bool = False,
                       elapsed_s: float = 0.0) -> WorkConservationAnalysis:
-        """Run the graph algorithms over an explored transition graph.
+        """Run the graph algorithms over an explored closure.
 
-        The cheap half of :meth:`analyze`: lasso detection over the bad
-        region and, absent a lasso, the exact worst-case escape depth.
-        Deterministic in the graph alone (iteration is over sorted
-        states), so a merged multi-shard graph yields byte-identical
-        verdicts to a single-process exploration.
+        The cheap half of :meth:`analyze`: the exact worst-case escape
+        depth over the bad region and, when the bad region has a cycle,
+        the lasso through it. Deterministic in the closure alone (rows
+        are visited in ascending state order), so every engine's closure
+        yields byte-identical verdicts. Only the lasso's states are
+        decoded.
         """
-        seen = set(edges)
-        bad = {s for s in seen if is_bad_state(s)}
-        lasso = find_bad_lasso(edges, bad)
-        worst = None
-        if lasso is None:
-            worst = longest_bad_escape(edges, bad)
+        with TRACER.span("graph.bad", "graph", states=len(closure)) as span:
+            bad = closure.bad_mask()
+            span.set(bad=int(bad.sum()))
+        worst, live = bad_escape(closure.offsets, closure.targets, bad)
+        lasso = None
+        if live.any():
+            path, start = bad_lasso(closure.offsets, closure.targets, live)
+            states = closure.states(path)
+            lasso = Lasso(prefix=tuple(states[:start]),
+                          cycle=tuple(states[start:]))
         return WorkConservationAnalysis(
             policy_name=self.policy.name,
             scope=scope.describe(),
             sequential=sequential,
             violated=lasso is not None,
             lasso=lasso,
-            worst_case_rounds=worst,
-            states_explored=len(seen),
-            bad_states=len(bad),
+            worst_case_rounds=None if lasso is not None else worst,
+            states_explored=len(closure),
+            bad_states=int(bad.sum()),
             truncated=truncated,
             elapsed_s=elapsed_s,
         )
@@ -712,96 +716,156 @@ class ModelChecker:
 # ---------------------------------------------------------------------------
 
 
-def find_bad_lasso(edges: dict[LoadState, frozenset[LoadState]],
-                   bad: set[LoadState]) -> Lasso | None:
-    """Find a cycle lying wholly inside ``bad``, with an access path.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + length)`` for each pair."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(
+        ends[-1] if ends.size else 0
+    )
 
-    Iterative DFS with colouring over the bad-only subgraph. Every bad
-    state is a legal initial state (the definition quantifies over all
-    initial states), so any bad cycle is a violation witness.
+
+def bad_escape(offsets: np.ndarray, targets: np.ndarray,
+               bad: np.ndarray) -> tuple[int, np.ndarray]:
+    """Worst-case rounds to leave the bad region, by a reverse peel.
+
+    ``escape(s)`` is 0 for good states and ``1 + max(escape(succ))``
+    for bad ones — the adversary picks the successor — and the maximum
+    over bad states is the paper's ``N``. A level-synchronous Kahn
+    peel computes it without recursion: round 1 removes the bad states
+    with no bad successor, and each later round removes the bad states
+    whose last bad successor the previous round removed, so a state
+    leaves in round ``escape(s)`` and the number of rounds is ``N``.
+    Total work is linear in the bad subgraph (one ``unique`` per
+    round).
+
+    Returns ``(N, live)``: ``live`` marks the bad states the peel never
+    removes — those on, or leading into, a bad cycle. When ``live`` is
+    non-empty ``N`` covers only the acyclic remainder and no finite
+    bound exists.
+    """
+    with TRACER.span("graph.escape", "graph", states=int(bad.size),
+                     bad=int(bad.sum())) as span:
+        source = np.repeat(np.arange(bad.size), np.diff(offsets))
+        inner = bad[source] & bad[targets]
+        source, dest = source[inner], targets[inner]
+        remaining = np.bincount(source, minlength=bad.size)
+        preds = source[np.argsort(dest)]
+        pred_offsets = np.zeros(bad.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dest, minlength=bad.size),
+                  out=pred_offsets[1:])
+        frontier = np.flatnonzero(bad & (remaining == 0))
+        rounds = 0
+        while frontier.size:
+            rounds += 1
+            starts = pred_offsets[frontier]
+            hit, times = np.unique(
+                preds[_ranges(starts, pred_offsets[frontier + 1] - starts)],
+                return_counts=True,
+            )
+            remaining[hit] -= times
+            frontier = hit[remaining[hit] == 0]
+        span.set(rounds=rounds)
+        return rounds, bad & (remaining > 0)
+
+
+def bad_lasso(offsets: np.ndarray, targets: np.ndarray,
+              live: np.ndarray) -> tuple[list[int], int]:
+    """A cycle through the ``live`` rows, with its access path.
+
+    Iterative DFS with colouring: roots in ascending row order,
+    children in ascending order, non-live children skipped. Returns the
+    DFS path at the moment a grey child closes the cycle and the path
+    index where the cycle starts.
+
+    Restricting the walk to the rows :func:`bad_escape` left live finds
+    the lasso a walk over every bad row would: a peeled row reaches
+    only peeled rows, so a full walk's excursions into them return
+    without touching the path, and its first root that can reach a
+    cycle is the first live one.
+
+    Raises:
+        VerificationError: no live row lies on or before a cycle.
     """
     WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[LoadState, int] = {s: WHITE for s in bad}
-
-    for root in sorted(bad):
-        if colour[root] != WHITE:
-            continue
-        path: list[LoadState] = []
-        stack: list[tuple[LoadState, Iterator[LoadState]]] = [
-            (root, iter(sorted(edges.get(root, frozenset()))))
-        ]
-        colour[root] = GREY
-        path.append(root)
-        while stack:
-            state, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in bad:
-                    continue
-                if colour[child] == GREY:
-                    # Found a bad cycle: path[...index(child)...] -> child
-                    start = path.index(child)
-                    return Lasso(
-                        prefix=tuple(path[:start]),
-                        cycle=tuple(path[start:]),
-                    )
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    path.append(child)
-                    stack.append(
-                        (child, iter(sorted(edges.get(child, frozenset()))))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                colour[state] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+    with TRACER.span("graph.lasso", "graph", live=int(live.sum())):
+        bounds = offsets.tolist()
+        children = targets.tolist()
+        is_live = live.tolist()
+        colour = bytearray(live.size)
+        for root in np.flatnonzero(live).tolist():
+            if colour[root] != WHITE:
+                continue
+            path = [root]
+            colour[root] = GREY
+            stack = [iter(children[bounds[root]:bounds[root + 1]])]
+            while stack:
+                for child in stack[-1]:
+                    if not is_live[child]:
+                        continue
+                    if colour[child] == GREY:
+                        return path, path.index(child)
+                    if colour[child] == WHITE:
+                        colour[child] = GREY
+                        path.append(child)
+                        stack.append(iter(
+                            children[bounds[child]:bounds[child + 1]]
+                        ))
+                        break
+                else:
+                    colour[path.pop()] = BLACK
+                    stack.pop()
+    raise VerificationError("no cycle through the live bad states")
 
 
-def longest_bad_escape(edges: dict[LoadState, frozenset[LoadState]],
-                       bad: set[LoadState]) -> int:
+def _index_graph(edges: dict[Any, frozenset[Any]], bad: set[Any],
+                 ) -> tuple[list[Any], np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted states, CSR ``offsets``/``targets`` and bad mask of a dict
+    graph (successors that are not keys become rows without edges)."""
+    states = sorted(set(edges).union(bad, *edges.values()))
+    index = {state: row for row, state in enumerate(states)}
+    rows = [sorted(index[s] for s in edges.get(state, ()))
+            for state in states]
+    offsets = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)),
+              out=offsets[1:])
+    targets = np.fromiter(
+        (s for row in rows for s in row), np.int64, int(offsets[-1])
+    )
+    mask = np.fromiter((state in bad for state in states), bool,
+                       len(states))
+    return states, offsets, targets, mask
+
+
+def find_bad_lasso(edges: dict[Hashable, frozenset[Hashable]],
+                   bad: set[Hashable]) -> Lasso | None:
+    """Find a cycle lying wholly inside ``bad``, with an access path.
+
+    Every bad state is a legal initial state (the definition quantifies
+    over all initial states), so any bad cycle is a violation witness.
+    The dict-graph form of :meth:`ModelChecker.analyze_graph`'s search:
+    the graph is indexed in sorted state order and handed to
+    :func:`bad_escape` and :func:`bad_lasso`.
+    """
+    states, offsets, targets, mask = _index_graph(edges, bad)
+    _, live = bad_escape(offsets, targets, mask)
+    if not live.any():
+        return None
+    path, start = bad_lasso(offsets, targets, live)
+    return Lasso(prefix=tuple(states[row] for row in path[:start]),
+                 cycle=tuple(states[row] for row in path[start:]))
+
+
+def longest_bad_escape(edges: dict[Hashable, frozenset[Hashable]],
+                       bad: set[Hashable]) -> int:
     """Worst-case rounds to leave the (acyclic) bad region.
 
-    ``escape(s)`` = 0 for good states; for bad states it is
-    ``1 + max(escape(successor))`` — the adversary picks the successor.
-    The maximum over all bad states is the paper's ``N``. Assumes the bad
-    subgraph is acyclic (call only after lasso detection found nothing).
-
-    Iterative: a post-order over an explicit stack fixes a bad state's
-    escape once all its bad successors have theirs, so the longest bad
-    chain costs stack entries, not Python frames.
+    The dict-graph form of :func:`bad_escape`: the paper's ``N``.
 
     Raises:
         VerificationError: the bad subgraph has a cycle.
     """
-    escape: dict[LoadState, int] = {}
-    worst = 0
-    for root in sorted(bad):
-        if root not in escape:
-            active = {root}
-            stack = [(root, iter(edges.get(root, frozenset())))]
-            while stack:
-                state, children = stack[-1]
-                for child in children:
-                    if child in bad and child not in escape:
-                        if child in active:
-                            raise VerificationError(
-                                "bad region has a cycle; no escape bound"
-                            )
-                        active.add(child)
-                        stack.append(
-                            (child, iter(edges.get(child, frozenset())))
-                        )
-                        break
-                else:
-                    stack.pop()
-                    active.discard(state)
-                    escape[state] = 1 + max(
-                        (escape.get(succ, 0)
-                         for succ in edges.get(state, frozenset())),
-                        default=0,
-                    )
-        worst = max(worst, escape[root])
+    _, offsets, targets, mask = _index_graph(edges, bad)
+    worst, live = bad_escape(offsets, targets, mask)
+    if live.any():
+        raise VerificationError("bad region has a cycle; no escape bound")
     return worst

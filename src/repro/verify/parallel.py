@@ -47,11 +47,11 @@ Determinism guarantees
   same states the serial sweep covers; the merged counterexample is the
   one whose state comes first in the serial iteration order (ties cannot
   occur — shards are disjoint), i.e. exactly the counterexample the
-  serial checker reports. The merged transition graph equals the serial
-  one key for key (a state's successor set is a pure function of policy
-  and parameters), and the graph algorithms in
-  :meth:`~repro.verify.model_checker.ModelChecker.analyze_graph` iterate
-  in sorted state order — so lassos, exact worst-case ``N``, and
+  serial checker reports. The merged closure equals the serial one row
+  for row (a state's successor set is a pure function of policy and
+  parameters), and the graph algorithms in
+  :meth:`~repro.verify.model_checker.ModelChecker.analyze_graph` visit
+  rows in sorted state order — so lassos, exact worst-case ``N``, and
   state-space sizes are byte-identical to a single-process run.
 * **`states_checked` differs only on refuted sweeps.** The serial
   checker stops at the first counterexample of the whole scope; each
@@ -109,9 +109,9 @@ from repro.verify.lemmas import (
     check_steal_soundness,
 )
 from repro.verify.encoding import (
+    PackedClosure,
     PackedState,
     StateCodec,
-    decode_graph,
     merge_fresh,
 )
 from repro.verify.model_checker import (
@@ -528,7 +528,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
                 sequential: bool = False,
                 symmetry: SymmetryGroup | None = None,
                 on_level: "Callable[[int, int, int], None] | None" = None,
-                ) -> tuple[TransitionGraph, bool]:
+                ) -> tuple[PackedClosure, bool]:
     """Level-synchronous BFS over the reachable closure, engine-agnostic.
 
     The caller owns the ``seen`` set and the frontier, both held in
@@ -546,9 +546,10 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     overlap of their reachable sets), so expansion work — the dominant
     cost of refuted policies with large closures — splits ``n_shards``
     ways, and each level costs one round trip regardless of link
-    latency. The finished graph is decoded back to tuple form before
-    returning, keeping every downstream consumer byte-identical to the
-    tuple engine.
+    latency. The finished graph is returned as a
+    :class:`~repro.verify.encoding.PackedClosure`, the same value the
+    serial :meth:`~repro.verify.model_checker.ModelChecker.explore`
+    returns.
 
     ``on_level`` (when given) is called after each completed level with
     ``(level_index, states_expanded_this_level, next_frontier_size)`` —
@@ -558,7 +559,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
     group = resolve_symmetry(symmetric, symmetry)
     canon = {group.canonicalize(s) for s in initial_states}
     if not canon:
-        return {}, False
+        return PackedClosure.empty(), False
     codec = StateCodec.for_states(len(next(iter(canon))), canon)
     edges: PackedGraph = {}
     truncated = False
@@ -597,7 +598,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
                 on_level(level, len(frontier), int(fresh.size))
             level += 1
             frontier_arr = fresh
-        return decode_graph(codec, edges), truncated
+        return PackedClosure.from_edges(codec, edges), truncated
     frontier = sorted(codec.encode(s) for s in canon)
     seen = set(frontier)
     while frontier:
@@ -620,7 +621,7 @@ def bfs_closure(map_expand: Callable, n_shards: int,
             on_level(level, len(frontier), len(next_frontier))
         level += 1
         frontier = sorted(next_frontier)
-    return decode_graph(codec, edges), truncated
+    return PackedClosure.from_edges(codec, edges), truncated
 
 
 def assemble_certificate(
@@ -714,7 +715,7 @@ def _explore_bfs(pool, jobs: int, initial_states, symmetric: bool,
                  sequential: bool,
                  symmetry: SymmetryGroup | None = None,
                  on_level: "Callable[[int, int, int], None] | None" = None,
-                 ) -> tuple[TransitionGraph, bool]:
+                 ) -> tuple[PackedClosure, bool]:
     """Pool-backed :func:`bfs_closure`: chunks map onto worker processes."""
     def map_expand(codec, chunks, seq):
         return pool.map(expand_states_worker,

@@ -7,8 +7,8 @@ import timeit
 from repro.api import Session, VerificationRequest
 from repro.cli import _ProgressPrinter
 from repro.obs.trace import TRACER
-from repro.policies import BalanceCountPolicy
-from repro.verify import StateCodec
+from repro.policies import BalanceCountPolicy, NaiveOverloadedPolicy
+from repro.verify import ModelChecker, StateCodec, StateScope
 from repro.verify.distributed import WorkerRuntime
 from repro.verify.wire import CheckerConfig, ExpandTask, TracedResult
 
@@ -43,6 +43,26 @@ class TestEngineSpans:
         assert kernels
         for span in kernels:
             assert 0 < span.args["values"] <= span.args["rows"]
+
+    def test_graph_phases_have_spans(self):
+        """CSR build, bad mask and escape peel on every analysis; the
+        lasso walk only when the bad region has a cycle."""
+        TRACER.enable()
+        analysis = ModelChecker(BalanceCountPolicy()).analyze(
+            StateScope(3, 2)
+        )
+        proved = {s.name: s.args for s in TRACER.drain()
+                  if s.category == "graph"}
+        assert set(proved) == {"graph.csr", "graph.bad", "graph.escape"}
+        assert proved["graph.escape"]["rounds"] \
+            == analysis.worst_case_rounds
+        assert proved["graph.bad"]["states"] == proved["graph.csr"]["states"]
+
+        TRACER.enable()
+        ModelChecker(NaiveOverloadedPolicy()).analyze(StateScope(3, 2))
+        refuted = {s.name: s.args for s in TRACER.drain()
+                   if s.category == "graph"}
+        assert refuted["graph.lasso"]["live"] > 0
 
     def test_rendered_output_identical_with_tracing_on_and_off(self):
         plain = Session().run(_request()).render()

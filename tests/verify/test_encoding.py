@@ -20,7 +20,7 @@ from repro.core.errors import VerificationError
 from repro.topology.domains import build_domain_tree
 from repro.topology.numa import symmetric_numa
 from repro.verify import INT_FORM_MAX_BITS, StateCodec, StateScope
-from repro.verify.encoding import decode_graph
+from repro.verify.encoding import PackedClosure
 from repro.verify.symmetry import (
     BlockSymmetryGroup,
     FlatSymmetryGroup,
@@ -112,21 +112,46 @@ class TestRoundTrip:
         with pytest.raises(VerificationError):
             StateCodec(n_cores=2, max_value=-1)
 
+    @pytest.mark.parametrize("n_cores,max_value", [(4, 9), (2, 1 << 40)])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_decode_graph_matches_scalar_decode(self, data):
-        codec = StateCodec(n_cores=4, max_value=9)
-        keys = data.draw(st.lists(states_for(4, 9), min_size=0,
-                                  max_size=12, unique=True))
-        edges = {}
-        for key in keys:
-            succs = data.draw(st.lists(states_for(4, 9), max_size=6))
-            edges[codec.encode(key)] = [codec.encode(s) for s in succs]
-        graph = decode_graph(codec, edges)
-        assert graph == {
+    def test_packed_closure_decodes_like_scalar_decode(self, n_cores,
+                                                       max_value, data):
+        codec = StateCodec(n_cores=n_cores, max_value=max_value)
+        keys = data.draw(st.lists(states_for(n_cores, max_value),
+                                  min_size=1, max_size=12, unique=True))
+        edges = {
+            codec.encode(key): frozenset(
+                codec.encode(s)
+                for s in data.draw(st.lists(st.sampled_from(keys),
+                                            max_size=6))
+            )
+            for key in keys
+        }
+        closure = PackedClosure.from_edges(codec, edges)
+        assert len(closure) == len(keys)
+        # Rows ascend in tuple order, and so does each row's successors.
+        assert closure.states(range(len(keys))) == sorted(keys)
+        targets = closure.targets.tolist()
+        bounds = closure.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert targets[lo:hi] == sorted(set(targets[lo:hi]))
+        assert closure.decode() == {
             codec.decode(p): frozenset(codec.decode(s) for s in succs)
             for p, succs in edges.items()
         }
+
+    @pytest.mark.parametrize("max_value", [9, 1 << 40])
+    def test_packed_closure_refuses_an_open_graph(self, max_value):
+        codec = StateCodec(n_cores=2, max_value=max_value)
+        edges = {codec.encode((0, 1)): frozenset({codec.encode((1, 0))})}
+        with pytest.raises(VerificationError, match="not a state"):
+            PackedClosure.from_edges(codec, edges)
+
+    def test_empty_closure(self):
+        closure = PackedClosure.empty()
+        assert len(closure) == 0 and closure.decode() == {}
+        assert closure.bad_mask().size == 0
 
 
 #: Every group shape the engines accept, over a 2x2 NUMA box.

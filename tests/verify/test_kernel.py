@@ -44,7 +44,7 @@ from repro.verify.hierarchical import (
     HierarchySpec,
     _inter_outcomes,
 )
-from repro.verify.kernel import _order_dag, kernel_mode
+from repro.verify.kernel import _order_dag, kernel_mode, table_fits
 from repro.verify.symmetry import TrivialGroup
 from repro.verify.transition import (
     DEFAULT_MAX_ORDERS,
@@ -226,9 +226,10 @@ class TestBytesFormCodec:
         from repro.verify.model_checker import ModelChecker
         from repro.verify.parallel import bfs_closure
 
-        graph, truncated = ModelChecker(GreedyHalvingPolicy()).explore(
+        closure, truncated = ModelChecker(GreedyHalvingPolicy()).explore(
             self.INITIAL
         )
+        graph = closure.decode()
         half = 1 << 39
         assert graph == {
             (0, 2 * half): frozenset({(half, half)}),
@@ -246,8 +247,57 @@ class TestBytesFormCodec:
             return [shard.expand_packed(chunk, codec, sequential)
                     for shard, chunk in zip(shards, chunks)]
 
-        sharded = bfs_closure(map_expand, 2, self.INITIAL, symmetric=False)
-        assert sharded == (graph, truncated)
+        sharded, sharded_truncated = bfs_closure(
+            map_expand, 2, self.INITIAL, symmetric=False
+        )
+        assert (sharded.decode(), sharded_truncated) == (graph, truncated)
+
+
+class TestHugeIntFormTotal:
+    """An int-form codec whose probe tables would not fit: the kernel
+    declines before allocating, and the tuple oracle explores."""
+
+    INITIAL = [(0, 1 << 20), (3, 5)]
+
+    def test_kernel_declines_without_building_tables(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+
+        def refuse(self):
+            raise AssertionError("probe tables must not be built")
+
+        monkeypatch.setattr(TransitionKernel, "_build_tables", refuse)
+        codec = StateCodec.for_states(2, self.INITIAL)
+        assert codec.use_int and codec.bits == 21
+        assert not table_fits(codec)
+        assert build_kernel(GreedyHalvingPolicy(), codec) is None
+
+    @pytest.mark.parametrize("n_cores,max_value,fits", [
+        (2, 127, True),       # at the cell floor
+        (2, 128, False),      # past it, and past the 2-core state bound
+        (3, 6, True),         # the ping-pong scope
+        (12, 144, True),      # tables far below the closure's bound
+        (3, 500, True),       # just under the cell ceiling
+        (3, 600, False),      # past it, though the bound is far larger
+        (3, 1 << 20, False),
+    ])
+    def test_table_fits_rule(self, n_cores, max_value, fits):
+        codec = StateCodec(n_cores=n_cores, max_value=max_value)
+        assert table_fits(codec) is fits
+
+    def test_closure_runs_on_the_tuple_oracle(self):
+        from repro.verify.model_checker import ModelChecker
+
+        closure, truncated = ModelChecker(GreedyHalvingPolicy()).explore(
+            self.INITIAL
+        )
+        half = 1 << 19
+        assert closure.decode() == {
+            (0, 2 * half): frozenset({(half, half)}),
+            (half, half): frozenset({(half, half)}),
+            (3, 5): frozenset({(4, 4)}),
+            (4, 4): frozenset({(4, 4)}),
+        }
+        assert not truncated
 
 
 class TestManyThiefExpansion:

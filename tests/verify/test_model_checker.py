@@ -1,6 +1,10 @@
 """Tests for the explicit-state model checker: lassos and exact N."""
 
+from typing import Iterator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.policies import (
     BalanceCountPolicy,
@@ -9,12 +13,19 @@ from repro.policies import (
 )
 from repro.policies.naive import GreedyReadyPolicy
 from repro.core.errors import VerificationError
+from repro.topology.numa import symmetric_numa
 from repro.verify import (
+    Lasso,
     ModelChecker,
+    PackedClosure,
+    StateCodec,
     StateScope,
+    find_bad_lasso,
     is_bad_state,
+    iter_states,
     longest_bad_escape,
 )
+from repro.verify.hierarchical import HierarchicalModelChecker, HierarchySpec
 
 from tests.conftest import PROVEN_POLICIES
 
@@ -235,3 +246,176 @@ class TestLongestBadEscape:
         edges = {"a": frozenset({"b"}), "b": frozenset({"a"})}
         with pytest.raises(VerificationError, match="cycle"):
             longest_bad_escape(edges, {"a", "b"})
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the tuple-graph algorithms the array analyser replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_find_bad_lasso(edges, bad):
+    """Colour DFS over the bad subgraph, roots and children sorted."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    colour = {s: WHITE for s in bad}
+    for root in sorted(bad):
+        if colour[root] != WHITE:
+            continue
+        path = []
+        stack: list[tuple[object, Iterator]] = [
+            (root, iter(sorted(edges.get(root, frozenset()))))
+        ]
+        colour[root] = GREY
+        path.append(root)
+        while stack:
+            state, children = stack[-1]
+            advanced = False
+            for child in children:
+                if child not in bad:
+                    continue
+                if colour[child] == GREY:
+                    start = path.index(child)
+                    return Lasso(prefix=tuple(path[:start]),
+                                 cycle=tuple(path[start:]))
+                if colour[child] == WHITE:
+                    colour[child] = GREY
+                    path.append(child)
+                    stack.append(
+                        (child, iter(sorted(edges.get(child, frozenset()))))
+                    )
+                    advanced = True
+                    break
+            if not advanced:
+                colour[state] = BLACK
+                path.pop()
+                stack.pop()
+    return None
+
+
+def oracle_longest_bad_escape(edges, bad):
+    """Post-order escape DP over the bad subgraph; refuses a cycle."""
+    escape = {}
+    worst = 0
+    for root in sorted(bad):
+        if root not in escape:
+            active = {root}
+            stack = [(root, iter(edges.get(root, frozenset())))]
+            while stack:
+                state, children = stack[-1]
+                for child in children:
+                    if child in bad and child not in escape:
+                        if child in active:
+                            raise VerificationError(
+                                "bad region has a cycle; no escape bound"
+                            )
+                        active.add(child)
+                        stack.append(
+                            (child, iter(edges.get(child, frozenset())))
+                        )
+                        break
+                else:
+                    stack.pop()
+                    active.discard(state)
+                    escape[state] = 1 + max(
+                        (escape.get(succ, 0)
+                         for succ in edges.get(state, frozenset())),
+                        default=0,
+                    )
+        worst = max(worst, escape[root])
+    return worst
+
+
+@st.composite
+def digraphs(draw):
+    """A random digraph over ``0..n-1`` (some states without a row)
+    and a random bad set."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=n - 1)
+    keys = draw(st.sets(node, min_size=1))
+    edges = {key: frozenset(draw(st.lists(node, max_size=4)))
+             for key in sorted(keys)}
+    return edges, draw(st.sets(node))
+
+
+#: Every state of a 3-core, load <= 2 scope: random closures draw from it.
+SMALL_STATES = list(iter_states(StateScope(n_cores=3, max_load=2)))
+
+
+@st.composite
+def closures(draw):
+    """A random closed graph over load vectors (every successor a key)."""
+    keys = draw(st.lists(st.sampled_from(SMALL_STATES), min_size=1,
+                         max_size=14, unique=True))
+    return {key: frozenset(draw(st.lists(st.sampled_from(keys),
+                                         max_size=3)))
+            for key in keys}
+
+
+class TestArrayAnalyserAgainstOracle:
+    """The CSR peel and lasso walk against the tuple algorithms."""
+
+    @given(graph=digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_dict_adapters_match_oracle(self, graph):
+        edges, bad = graph
+        expected = oracle_find_bad_lasso(edges, bad)
+        assert find_bad_lasso(edges, bad) == expected
+        if expected is None:
+            assert longest_bad_escape(edges, bad) \
+                == oracle_longest_bad_escape(edges, bad)
+        else:
+            with pytest.raises(VerificationError, match="cycle"):
+                oracle_longest_bad_escape(edges, bad)
+            with pytest.raises(VerificationError, match="cycle"):
+                longest_bad_escape(edges, bad)
+
+    @pytest.mark.parametrize("max_value", [6, 1 << 40],
+                             ids=["int-form", "bytes-form"])
+    @given(edges=closures())
+    @settings(max_examples=150, deadline=None)
+    def test_analyze_graph_matches_oracle(self, max_value, edges):
+        codec = StateCodec(n_cores=3, max_value=max_value)
+        closure = PackedClosure.from_edges(codec, {
+            codec.encode(state): frozenset(codec.encode(s) for s in succ)
+            for state, succ in edges.items()
+        })
+        analysis = ModelChecker(NaiveOverloadedPolicy()).analyze_graph(
+            StateScope(n_cores=3, max_load=2), closure, truncated=False,
+        )
+        bad = {s for s in edges if is_bad_state(s)}
+        lasso = oracle_find_bad_lasso(edges, bad)
+        assert analysis.lasso == lasso
+        assert analysis.violated == (lasso is not None)
+        assert analysis.worst_case_rounds == (
+            None if lasso is not None
+            else oracle_longest_bad_escape(edges, bad)
+        )
+        assert analysis.states_explored == len(edges)
+        assert analysis.bad_states == len(bad)
+
+
+class TestPinnedVerdicts:
+    """Literal results recorded from the tuple-graph analyser."""
+
+    def test_naive_pingpong_lasso(self):
+        analysis = ModelChecker(NaiveOverloadedPolicy()).analyze(
+            StateScope(n_cores=3, max_load=2)
+        )
+        assert analysis.lasso == Lasso(prefix=(),
+                                       cycle=((0, 1, 2), (0, 2, 1)))
+
+    def test_hierarchical_numa_3x2_lasso(self):
+        spec = HierarchySpec(topology=symmetric_numa(3, 2))
+        analysis = HierarchicalModelChecker(spec).analyze(
+            StateScope(n_cores=6, max_load=4)
+        )
+        assert analysis.lasso == Lasso(prefix=((0, 0, 0, 3, 1, 1),),
+                                       cycle=((0, 0, 1, 2, 1, 1),))
+        assert analysis.states_explored == 15625
+
+    def test_balance_count_5x3_exact_n(self):
+        analysis = ModelChecker(BalanceCountPolicy()).analyze(
+            StateScope(n_cores=5, max_load=3)
+        )
+        assert not analysis.violated
+        assert analysis.worst_case_rounds == 3
+        assert analysis.states_explored == 1024
