@@ -105,7 +105,6 @@ from repro.verify.parallel import (
     make_campaign_tasks,
     make_shard_specs,
     merge_campaign_reports,
-    merge_graphs,
     merge_proof_results,
     prove_work_conserving_parallel,
     resolve_jobs,
@@ -233,7 +232,6 @@ __all__ = [
     "make_campaign_tasks",
     "make_shard_specs",
     "merge_campaign_reports",
-    "merge_graphs",
     "merge_proof_results",
     "prove_work_conserving_parallel",
     "resolve_jobs",

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.errors import VerificationError
 from repro.obs.trace import TRACER
-from repro.verify.enumeration import LoadState, StateScope, is_bad_state
+from repro.verify.enumeration import LoadState, StateScope
 
 #: A packed abstract state: one machine integer for small scopes,
 #: ``bytes`` for scopes whose packed width exceeds 63 bits.
@@ -318,20 +318,6 @@ class PackedClosure:
                 rows, dtype=np.int64)])
             return list(map(tuple, digits.tolist()))
         return [self.codec.decode(self.keys[row]) for row in rows]
-
-    def bad_mask(self) -> np.ndarray:
-        """Per-row ``is_bad_state``: some core idle, some overloaded.
-
-        One vectorised test over the unpacked digit matrix under an
-        int-form codec; bytes-form keys decode per state.
-        """
-        if self.codec.use_int:
-            digits = self.codec.unpack_array(self.keys)
-            return (digits == 0).any(axis=1) & (digits >= 2).any(axis=1)
-        return np.fromiter(
-            (is_bad_state(self.codec.decode(key)) for key in self.keys),
-            dtype=bool, count=len(self.keys),
-        )
 
     def decode(self) -> dict[LoadState, frozenset[LoadState]]:
         """The whole closure as a tuple graph (tests and debugging)."""

@@ -91,35 +91,23 @@ def kernel_mode() -> str:
     return mode
 
 
-#: Probe tables of at most this many cells are always built: the probe
-#: then costs a few tens of milliseconds of policy calls at most.
-TABLE_CELL_FLOOR = 1 << 16
-
-#: Probe tables of more cells are never built: each cell is a Python
-#: list slot and half of them a policy call, so past this the tables
-#: alone cost seconds and tens of megabytes.
+#: Probe tables of more cells are never built. The tables cost about
+#: 0.4-0.5 us and 34 bytes per cell (policy calls and Python list
+#: slots), so this caps them near half a second and 34 MiB, i.e.
+#: ``max_value <= 511`` (measured on a 2-CPU x86_64 host; see
+#: docs/encoding.md).
 TABLE_CELL_CEILING = 1 << 20
 
 
 def table_fits(codec: StateCodec) -> bool:
-    """Whether the kernel's probe tables are worth building for ``codec``.
+    """Whether the kernel's probe tables fit under ``codec``.
 
     The tables hold ``4 * (max_value + 1)**2`` cells, quadratic in the
-    codec's conserved total, while a closure under ``codec`` holds at
-    most ``C(max_value + n_cores, n_cores)`` states (load vectors with
-    total ``<= max_value``), each of which the tuple executor expands
-    with a handful of policy calls. Tables within
-    :data:`TABLE_CELL_FLOOR` are always cheap; above it they must not
-    outnumber the closure's possible states, nor pass
-    :data:`TABLE_CELL_CEILING`. Huge totals (two cores at 21 bits)
-    therefore take the tuple executor instead of exhausting memory.
+    codec's conserved total; past :data:`TABLE_CELL_CEILING` the kernel
+    declines and the tuple executor explores. Huge totals (two cores at
+    21 bits) therefore never allocate their tables.
     """
-    cells = 4 * (codec.max_value + 1) ** 2
-    if cells <= TABLE_CELL_FLOOR:
-        return True
-    return cells <= TABLE_CELL_CEILING and cells <= math.comb(
-        codec.max_value + codec.n_cores, codec.n_cores
-    )
+    return 4 * (codec.max_value + 1) ** 2 <= TABLE_CELL_CEILING
 
 
 #: Steal-order DAGs of capped thief permutations, keyed ``(k, n_orders)``.

@@ -60,9 +60,6 @@ from repro.verify.transition import (
     enumerate_round_branches,
 )
 
-#: An explored transition graph: state -> distinct successor states.
-TransitionGraph = dict["LoadState", frozenset["LoadState"]]
-
 #: The packed form the engines explore in: packed state -> packed
 #: successors. Indexed into a :class:`~repro.verify.encoding.
 #: PackedClosure` once exploration finishes; only the states a verdict
@@ -555,9 +552,7 @@ class ModelChecker:
         yields byte-identical verdicts. Only the lasso's states are
         decoded.
         """
-        with TRACER.span("graph.bad", "graph", states=len(closure)) as span:
-            bad = closure.bad_mask()
-            span.set(bad=int(bad.sum()))
+        bad = bad_rows(closure.codec, closure.keys)
         worst, live = bad_escape(closure.offsets, closure.targets, bad)
         lasso = None
         if live.any():
@@ -722,6 +717,26 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(
         ends[-1] if ends.size else 0
     )
+
+
+def bad_rows(codec: StateCodec, keys: Any) -> np.ndarray:
+    """Per-row :func:`is_bad_state` of ascending packed ``keys``.
+
+    Some core idle and some overloaded: one vectorised test over the
+    unpacked digit matrix under an int-form codec; bytes-form keys
+    decode per state.
+    """
+    with TRACER.span("graph.bad", "graph", states=len(keys)) as span:
+        if codec.use_int:
+            digits = codec.unpack_array(keys)
+            bad = (digits == 0).any(axis=1) & (digits >= 2).any(axis=1)
+        else:
+            bad = np.fromiter(
+                (is_bad_state(codec.decode(key)) for key in keys),
+                dtype=bool, count=len(keys),
+            )
+        span.set(bad=int(bad.sum()))
+        return bad
 
 
 def bad_escape(offsets: np.ndarray, targets: np.ndarray,

@@ -117,7 +117,6 @@ from repro.verify.encoding import (
 from repro.verify.model_checker import (
     ModelChecker,
     PackedGraph,
-    TransitionGraph,
     WorkConservationAnalysis,
 )
 from repro.verify.obligations import (
@@ -418,24 +417,6 @@ def merge_proof_results(
         counterexample=winner.counterexample if winner is not None else None,
         elapsed_s=max(r.elapsed_s for r in shards),
     )
-
-
-def merge_graphs(
-    graphs: list[tuple[TransitionGraph, bool]],
-) -> tuple[TransitionGraph, bool]:
-    """Union per-shard transition graphs.
-
-    Sound because a state's successor set is a pure function of
-    (policy, state, checker parameters): two shards reaching the same
-    state computed identical edges, so dict union is conflict-free and
-    the result equals the serial exploration of the whole scope.
-    """
-    edges: TransitionGraph = {}
-    truncated = False
-    for shard_edges, shard_truncated in graphs:
-        edges.update(shard_edges)
-        truncated = truncated or shard_truncated
-    return edges, truncated
 
 
 def merge_campaign_reports(shards: list[CampaignReport]) -> CampaignReport:

@@ -21,6 +21,7 @@ from repro.topology.domains import build_domain_tree
 from repro.topology.numa import symmetric_numa
 from repro.verify import INT_FORM_MAX_BITS, StateCodec, StateScope
 from repro.verify.encoding import PackedClosure
+from repro.verify.model_checker import bad_rows
 from repro.verify.symmetry import (
     BlockSymmetryGroup,
     FlatSymmetryGroup,
@@ -151,7 +152,7 @@ class TestRoundTrip:
     def test_empty_closure(self):
         closure = PackedClosure.empty()
         assert len(closure) == 0 and closure.decode() == {}
-        assert closure.bad_mask().size == 0
+        assert bad_rows(closure.codec, closure.keys).size == 0
 
 
 #: Every group shape the engines accept, over a 2x2 NUMA box.

@@ -272,13 +272,14 @@ class TestHugeIntFormTotal:
         assert build_kernel(GreedyHalvingPolicy(), codec) is None
 
     @pytest.mark.parametrize("n_cores,max_value,fits", [
-        (2, 127, True),       # at the cell floor
-        (2, 128, False),      # past it, and past the 2-core state bound
+        (2, 128, True),
         (3, 6, True),         # the ping-pong scope
-        (12, 144, True),      # tables far below the closure's bound
-        (3, 500, True),       # just under the cell ceiling
-        (3, 600, False),      # past it, though the bound is far larger
-        (3, 1 << 20, False),
+        (12, 144, True),
+        (2, 511, True),       # the largest total under the cell ceiling
+        (3, 511, True),
+        (2, 512, False),      # the smallest total past it
+        (4, 512, False),
+        (2, 1 << 20, False),  # two cores at 21 bits
     ])
     def test_table_fits_rule(self, n_cores, max_value, fits):
         codec = StateCodec(n_cores=n_cores, max_value=max_value)
